@@ -23,7 +23,7 @@ from .families import (
 )
 from .graphs import Graph, MarkedGraph
 from .io_formats import graph_to_g6, load_graph_records, parse_graph_file
-from .linkage import certify, minimality_scan
+from .linkage import certify, minimality_scan, parse_rules
 from .minors import is_minor
 from .patterns import k33_census
 
@@ -42,6 +42,7 @@ class RunConfig:
             raise ValueError("worker count must be >= 1")
         if self.expect not in ("certified", "undecided", "none"):
             raise ValueError(f"bad expectation {self.expect!r}")
+        parse_rules(self.rules)
 
 
 def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
@@ -219,7 +220,6 @@ def _cmd_catalog(cfg: RunConfig, args) -> int:
 
             manifest = []
             for e in rep.entries:
-                fname = e.code_g6.replace("?", "q").replace("|", "I").replace("~", "t")
                 fname = "".join(ch if ch.isalnum() else f"_{ord(ch):02x}" for ch in e.code_g6)
                 path = outdir / f"k{rep.connectivity_class}_{fname}.txt"
                 path.write_text(emit_edge_list(g6_to_graph(e.code_g6)))

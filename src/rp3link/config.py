@@ -12,6 +12,11 @@ class Limits:
     max_dim: int = 24            # cycle-space dimension cap for assignment enumeration
     max_cycles: int = 500_000    # cutoff for simple-cycle enumeration
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not int or value < 1:
+                raise ValueError(f"Limits.{name} must be a positive int, got {value!r}")
+
 
 DEFAULT_LIMITS = Limits()
 
@@ -19,12 +24,24 @@ ENV_MAX_VERTICES = "RP3LINK_MAX_VERTICES"
 ENV_MAX_DIM = "RP3LINK_MAX_DIM"
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        pass
+    else:
+        if value >= 1:
+            return value
+    raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+
+
 def limits_from_env(base: Limits = DEFAULT_LIMITS) -> Limits:
     """Apply RP3LINK_MAX_VERTICES / RP3LINK_MAX_DIM overrides when set."""
-    mv = os.environ.get(ENV_MAX_VERTICES)
-    md = os.environ.get(ENV_MAX_DIM)
     return Limits(
-        max_vertices=int(mv) if mv else base.max_vertices,
-        max_dim=int(md) if md else base.max_dim,
+        max_vertices=_env_int(ENV_MAX_VERTICES, base.max_vertices),
+        max_dim=_env_int(ENV_MAX_DIM, base.max_dim),
         max_cycles=base.max_cycles,
     )

@@ -184,8 +184,11 @@ class RuleContext:
             from .families import petersen_family
 
             fam = petersen_family()
+            # K6 is a family member too: share the rule-C models
             self._b_models = {
-                name: list(enumerate_minor_models(self.host, g, limits=self.limits))
+                name: self.c_models
+                if g == _K6
+                else list(enumerate_minor_models(self.host, g, limits=self.limits))
                 for name, g in fam.members.items()
                 if g.n <= self.host.n and g.m <= self.host.m
             }
@@ -226,15 +229,26 @@ class RuleContext:
         return self._b_conditions
 
 
-_CTX_CACHE: dict[Graph, RuleContext] = {}
+_CTX_CACHE: dict[tuple[Graph, Limits], RuleContext] = {}
 
 
 def rule_context(host: Graph, limits: Limits = DEFAULT_LIMITS) -> RuleContext:
-    ctx = _CTX_CACHE.get(host)
+    ctx = _CTX_CACHE.get((host, limits))
     if ctx is None:
         ctx = RuleContext(host, limits)
-        _CTX_CACHE[host] = ctx
+        _CTX_CACHE[host, limits] = ctx
     return ctx
+
+
+def parse_rules(rules: str) -> str:
+    """The enabled rules in sweep order (A, C, B), case-insensitively.
+
+    Raises ValueError for an empty string or any letter but A, B and C.
+    """
+    wanted = rules.upper()
+    if not wanted or set(wanted) - set("ABC"):
+        raise ValueError(f"rule string {rules!r} must name one or more of A, B, C")
+    return "".join(r for r in "ACB" if r in wanted)
 
 
 # -- single-assignment rule functions ----------------------------------------
@@ -456,7 +470,7 @@ def certify(
     limits: Limits = DEFAULT_LIMITS,
 ) -> Certificate:
     """Sweep all 2^dim assignments, attaching evidence in A, C, B order."""
-    rules = "".join(r for r in "ACB" if r.upper() in rules.upper())
+    rules = parse_rules(rules)
     t0 = time.time()
     ctx = rule_context(g, limits)
     if ctx.dim > limits.max_dim:
@@ -727,6 +741,7 @@ def minimality_scan(
     limits: Limits = DEFAULT_LIMITS,
 ) -> MinimalityReport:
     """Certify both one-step minors for one representative per edge orbit."""
+    parse_rules(rules)
     table = orbits(g, limits)
     edge_orbits = [
         orb for orb in table.pair_orbits if g.has_edge(*orb[0])

@@ -160,11 +160,90 @@ def _pattern_group(pattern: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
+def _components(adj: tuple[int, ...], avail: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph on `avail`."""
+    comps = []
+    while avail:
+        comp = frontier = avail & -avail
+        while frontier:
+            lsb = frontier & -frontier
+            frontier ^= lsb
+            new = adj[lsb.bit_length() - 1] & avail & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        avail &= ~comp
+    return comps
+
+
+def _separation_pieces(g: Graph) -> list[Graph] | None:
+    """Pieces of the first separation of order <= 2 of g, or None if none.
+
+    Tried in order: the components of g; the sides G[C + v] of a cut vertex
+    v, one per component C of G - v; the sides G[C + {x, y}] of a 2-cut
+    x < y, each with the virtual edge xy added.  So g is 3-connected exactly
+    when it has at least 4 vertices and this returns None.
+    """
+    full = (1 << g.n) - 1
+    singles = [1 << v for v in range(g.n)]
+    pairs = [a | b for a, b in itertools.combinations(singles, 2)]
+    for cut in [0, *singles, *pairs]:
+        comps = _components(g.adj, full & ~cut)
+        if len(comps) < 2:
+            continue
+        pieces = []
+        for comp in comps:
+            vs = [v for v in range(g.n) if ((comp | cut) >> v) & 1]
+            piece = g.induced_subgraph(vs)
+            if cut.bit_count() == 2:
+                x, y = (vs.index(v) for v in range(g.n) if (cut >> v) & 1)
+                if not piece.has_edge(x, y):
+                    piece = piece.add_edge(x, y)
+            pieces.append(piece)
+        return pieces
+    return None
+
+
+def _absent_by_separation(host: Graph, pattern: Graph, limits: Limits) -> bool:
+    """True when pattern is proved not to be a minor of host on smaller graphs.
+
+    A 3-connected minor of a graph is a minor of one of its components, of
+    one side of a cut vertex, or of one side of a 2-cut {x, y} with the
+    virtual edge xy added (Diestel, Graph Theory, ch. 12; Oxley, Matroid
+    Theory, on 2-sums).  Pieces are tested through `is_minor`, so they are
+    split again in turn.
+    """
+    if pattern.n < 4 or _separation_pieces(pattern) is not None:
+        return False
+    pieces = _separation_pieces(host)
+    return pieces is not None and all(
+        is_minor(pattern, piece, limits) is None for piece in pieces
+    )
+
+
 def enumerate_minor_models(
     host: Graph,
     pattern: Graph,
     limits: Limits = DEFAULT_LIMITS,
     first_only: bool = False,
+) -> Iterator[MinorModel]:
+    """Every model of pattern inside host, in backtracking order.
+
+    A 3-connected pattern that is no minor of any piece of a separation of
+    order <= 2 of host yields nothing at once; otherwise the backtracking
+    search below runs on the whole host.
+    """
+    if host.n > limits.max_vertices or pattern.n > limits.max_vertices:
+        raise SizeExceeded("graph exceeds vertex bound")
+    if pattern.n > host.n or pattern.m > host.m or pattern.n == 0:
+        return
+    if _absent_by_separation(host, pattern, limits):
+        return
+    yield from _backtrack_models(host, pattern, first_only)
+
+
+def _backtrack_models(
+    host: Graph, pattern: Graph, first_only: bool = False
 ) -> Iterator[MinorModel]:
     """Backtracking enumeration of models of pattern inside host.
 
@@ -174,10 +253,6 @@ def enumerate_minor_models(
     automorphism are emitted once (lex-leader pruning); all edge-map choices
     are emitted, since distinct mapped edges lift cycles differently.
     """
-    if host.n > limits.max_vertices or pattern.n > limits.max_vertices:
-        raise SizeExceeded("graph exceeds vertex bound")
-    if pattern.n > host.n or pattern.m > host.m or pattern.n == 0:
-        return
     # most-constrained-next static order: maximize placed neighbours, then degree
     order: list[int] = []
     remaining = set(range(pattern.n))

@@ -19,6 +19,7 @@ from rp3link import (
     parse_graph,
 )
 from rp3link.cli import RunConfig, main
+from rp3link.config import Limits, limits_from_env
 from rp3link.errors import DuplicateEdge, LoopEdge, ParseError
 
 from conftest import random_graph
@@ -93,6 +94,31 @@ def test_run_config_validation():
         RunConfig(jobs=0)
     with pytest.raises(ValueError):
         RunConfig(expect="maybe")
+
+
+def test_bad_rule_strings_rejected_by_config_and_cli(capsys):
+    with pytest.raises(ValueError, match="rule string"):
+        RunConfig(rules="XYZ")
+    path = str(fixture_path("k44_minus_e"))
+    assert main(["--rules", "XYZ", "--expect", "undecided", "certify", path]) == 1
+    assert "rule string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("max_dim", -3), ("max_vertices", 0), ("max_cycles", "10")]
+)
+def test_limits_reject_non_positive_ints(field, value):
+    with pytest.raises(ValueError, match=field):
+        Limits(**{field: value})
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0"])
+def test_limits_from_env_names_the_variable(monkeypatch, capsys, raw):
+    monkeypatch.setenv("RP3LINK_MAX_DIM", raw)
+    with pytest.raises(ValueError, match="RP3LINK_MAX_DIM"):
+        limits_from_env()
+    assert main(["certify", str(fixture_path("k6"))]) == 1
+    assert "RP3LINK_MAX_DIM" in capsys.readouterr().err
 
 
 def test_cli_petersen(capsys):

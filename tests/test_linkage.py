@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from rp3link import (
     cycle_space,
     evaluate,
     glue_pair,
+    load_fixture,
     minimality_scan,
     petersen_family,
     restrict,
@@ -27,7 +29,8 @@ from rp3link import (
     rule_context,
     verify_certificate,
 )
-from rp3link.errors import DimensionExceeded
+from rp3link.config import Limits
+from rp3link.errors import DimensionExceeded, SizeExceeded
 from rp3link.homology import cycle_vertices
 
 from conftest import brute_force_automorphisms
@@ -270,3 +273,60 @@ def test_certificate_verification_catches_tampering(k44e):
             verify_certificate(cert, sample=[target])
     finally:
         cert.ev_of[target] = original
+
+
+@pytest.mark.parametrize("rules", ["", "XYZ", "ABX", "A B"])
+def test_bad_rule_strings_rejected(k44e, rules):
+    with pytest.raises(ValueError, match="rule string"):
+        certify(k44e, rules=rules)
+    with pytest.raises(ValueError, match="rule string"):
+        minimality_scan(k44e, rules=rules)
+
+
+def test_context_cache_respects_limits(k7_2adj):
+    assert certify(k7_2adj).verdict == "CERTIFIED"
+    # K7-2adj has more than 10 simple cycles; the default-limits context
+    # built above must not be reused
+    with pytest.raises(SizeExceeded):
+        certify(k7_2adj, limits=Limits(max_cycles=10))
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# sha256 of certify(...).to_json(include_timing=False), sha256 of the repr of
+# the _rref keys of the C and B conditions in order, and the model count per
+# pattern; pinned before absent minors were proved on 2-sum pieces and
+# before rule B shared the K6 models of rule C
+_GOLDEN = {
+    "K6(01)+K331(02)": (
+        "5c87eb12b4aca3f941f7b3706f7eb9af005936bfca99c24cc9bdfd5ea4c22930",
+        "6293b7eab99106dd1392f582c4e0d2329a4623e104323ae451ca2586afeeb5f2",
+        "155c910ba16314339f33825f90e08be5509136f5cdd9770e0de6f0682a81ac5a",
+        {"K6": 598, "K331": 324, "P7": 0, "K44-e": 0, "P8": 0, "P9": 0, "Petersen": 0},
+    ),
+    "K6t~K6t": (
+        "cd5d20df191d9847428e474e2af828b1c52c83a8b24048fe993b1a48b07e9f80",
+        "60f1291454606647404c96ae4f630c66d6fa050583226a9510cbb260c7e01a35",
+        "3c88c7c45c5b65ecefb2ed35312c07282d4160908e3b8e6a0c3e2ea4a3e793ff",
+        {"K6": 792, "K331": 0, "P7": 666, "K44-e": 0, "P8": 0, "P9": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_certificates_and_conditions_pinned(name):
+    fam = petersen_family().members
+    if name == "K6t~K6t":
+        g = load_fixture("k6_therefore_k6")
+    else:
+        g = glue_pair(fam["K6"], (0, 1), fam["K331"], (0, 2), 0)
+    cert_sha, c_sha, b_sha, models = _GOLDEN[name]
+    cert = certify(g)
+    ctx = cert.ctx
+    assert hashlib.sha256(cert.to_json(include_timing=False).encode()).hexdigest() == cert_sha
+    assert _sha([key for key, _, _ in ctx.c_conditions]) == c_sha
+    assert _sha([key for key, _, _, _ in ctx.b_conditions]) == b_sha
+    assert {member: len(ms) for member, ms in ctx.b_models.items()} == models
+    assert ctx.b_models["K6"] is ctx.c_models

@@ -8,11 +8,14 @@ from rp3link import (
     Graph,
     canonical_form,
     enumerate_minor_models,
+    glue_pair,
+    glue_vertex,
     is_minor,
+    petersen_family,
     validate_model,
 )
 from rp3link.errors import ModelInvalid, SizeExceeded
-from rp3link.minors import MinorModel
+from rp3link.minors import MinorModel, _backtrack_models
 
 from conftest import random_graph
 
@@ -120,3 +123,51 @@ def test_validate_model_rejects_bad_models(k6):
 def test_size_bound():
     with pytest.raises(SizeExceeded):
         is_minor(Graph.complete(3), Graph(25, ()))
+
+
+def _low_connectivity_hosts(rng: random.Random, count: int):
+    """Disjoint unions, 1-sums and 2-sums of two dense random graphs, with
+    at most 9 vertices, randomly relabelled."""
+    for i in range(count):
+        shared = i % 3
+        a = rng.randint(3, 6 + shared)
+        b = rng.randint(3, 9 - a + shared)
+        g1, g2 = random_graph(rng, a, 0.9), random_graph(rng, b, 0.9)
+        if shared == 0:
+            host = g1.disjoint_union(g2)
+        elif shared == 1:
+            host = glue_vertex(g1, rng.randrange(a), g2, rng.randrange(b))
+        else:
+            pair1 = tuple(rng.sample(range(a), 2))
+            pair2 = tuple(rng.sample(range(b), 2))
+            host = glue_pair(g1, pair1, g2, pair2, rng.randint(0, 1))
+        perm = list(range(host.n))
+        rng.shuffle(perm)
+        yield host.relabel(perm)
+
+
+def test_absence_shortcut_matches_backtracking():
+    fam = petersen_family().members
+    patterns = {
+        "K4": Graph.complete(4),
+        "K5": Graph.complete(5),
+        "K33": Graph.complete_bipartite(3, 3),
+        "K6": fam["K6"],
+        "K331": fam["K331"],
+        "P7": fam["P7"],
+    }
+    outcomes = {name: set() for name in patterns}
+    for host in _low_connectivity_hosts(random.Random(5), 60):
+        for name, pattern in patterns.items():
+            raw = next(_backtrack_models(host, pattern, first_only=True), None)
+            assert is_minor(pattern, host) == raw, (name, host)
+            outcomes[name].add(raw is not None)
+    # every pattern is both present in some host and absent from another
+    assert all(seen == {False, True} for seen in outcomes.values()), outcomes
+
+
+def test_shortcut_skips_patterns_that_are_not_3_connected():
+    # two triangles sharing a vertex: the host splits at the shared vertex,
+    # and neither triangle contains the bowtie
+    bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert is_minor(bowtie, bowtie) is not None
