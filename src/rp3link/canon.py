@@ -125,17 +125,20 @@ def _search(
             record_leaf(colors)
             return
         explored: list[int] = []
+        # orbits of the generators found so far that fix `fixed` pointwise;
+        # generators are only ever appended, so each is folded in once
+        uf = _UnionFind(range(n))
+        folded = 0
         for v in target:
             if explored:
-                fixing = [g for g in generators if all(g[x] == x for x in fixed)]
-                if fixing:
-                    uf = _UnionFind(range(n))
-                    for g in fixing:
+                for g in generators[folded:]:
+                    if all(g[x] == x for x in fixed):
                         for x in range(n):
                             uf.union(x, g[x])
-                    if any(uf.find(v) == uf.find(u) for u in explored):
-                        explored.append(v)
-                        continue
+                folded = len(generators)
+                if any(uf.find(v) == uf.find(u) for u in explored):
+                    explored.append(v)
+                    continue
             rec(_individualize(colors, v), fixed + (v,))
             explored.append(v)
 

@@ -26,7 +26,8 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .canon import canonical_form, canonical_graph, orbits
 from .config import DEFAULT_LIMITS, Limits
@@ -96,12 +97,66 @@ def _pattern_edge_mask(g: Graph, edges) -> int:
     return mask
 
 
+class _OnDemand:
+    """A sequence filled from an iterator only as far as it is read.
+
+    Indexing and iteration pull items on demand, len() drains the iterator
+    and bool() pulls one item.  An exception from the iterator is stored and
+    raised again on every later access, so a table whose generator died
+    never reads as a complete, shorter one.
+    """
+
+    def __init__(self, items: Iterator):
+        self._it: Iterator | None = items
+        self._items: list = []
+        self._error: BaseException | None = None
+
+    @property
+    def filled(self) -> int:
+        """Number of items generated so far."""
+        return len(self._items)
+
+    def _fill(self, n: int | None) -> bool:
+        """Generate up to n items (all when n is None); True if n exist."""
+        if self._error is not None:
+            raise self._error
+        items = self._items
+        while self._it is not None and (n is None or len(items) < n):
+            try:
+                items.append(next(self._it))
+            except StopIteration:
+                self._it = None
+            except BaseException as exc:
+                self._it, self._error = None, exc
+                raise
+        return n is None or len(items) >= n
+
+    def __getitem__(self, i: int):
+        self._fill(None if i < 0 else i + 1)
+        return self._items[i]
+
+    def __iter__(self) -> Iterator:
+        i = 0
+        while self._fill(i + 1):
+            yield self._items[i]
+            i += 1
+
+    def __len__(self) -> int:
+        self._fill(None)
+        return len(self._items)
+
+    def __bool__(self) -> bool:
+        return self._fill(1)
+
+
 class RuleContext:
     """Assignment-independent tables for one host graph.
 
     Cycles, vertex-disjoint cycle pairs, and the linear conditions backing
     rules B and C are computed once and shared by every assignment sweep;
     all orderings are deterministic so certificates replay bit-exactly.
+    Minor models and conditions are generated on demand (`_OnDemand`), so
+    a sweep that forces every assignment early never builds the rest.
     """
 
     def __init__(self, host: Graph, limits: Limits = DEFAULT_LIMITS):
@@ -113,120 +168,96 @@ class RuleContext:
         self.cycles: tuple[int, ...] = tuple(cyc)
         self.cycle_sigs = tuple(self.cs.signature(c) for c in cyc)
         self.cycle_verts = tuple(cycle_vertices(host, c) for c in cyc)
-        self._pairs: list[tuple[int, int]] | None = None
-        self._c_conditions: list[tuple[tuple[int, ...], int, tuple]] | None = None
-        self._b_conditions: list[tuple[tuple[int, ...], str, int, int]] | None = None
-        self._c_models: list[MinorModel] | None = None
-        self._b_models: dict[str, list[MinorModel]] | None = None
+        self.c_models = _OnDemand(enumerate_minor_models(host, _K6, limits=limits))
+        # deduped (vectors, model index, quad) conditions in search order
+        self.c_conditions = _OnDemand(self._c_condition_stream())
+        # deduped (vectors, member, model index, apex) in search order
+        self.b_conditions = _OnDemand(self._b_condition_stream())
 
     # -- rule A ---------------------------------------------------------------
 
-    @property
+    @cached_property
     def pairs(self) -> list[tuple[int, int]]:
         """Vertex-disjoint cycle pairs, shortest total length first."""
-        if self._pairs is None:
-            pairs = []
-            nc = len(self.cycles)
-            for i in range(nc):
-                vi = self.cycle_verts[i]
-                for j in range(i + 1, nc):
-                    if not (vi & self.cycle_verts[j]):
-                        pairs.append((i, j))
-            pairs.sort(
-                key=lambda p: (
-                    self.cycles[p[0]].bit_count() + self.cycles[p[1]].bit_count(),
-                    p[0],
-                    p[1],
-                )
+        pairs = []
+        nc = len(self.cycles)
+        for i in range(nc):
+            vi = self.cycle_verts[i]
+            for j in range(i + 1, nc):
+                if not (vi & self.cycle_verts[j]):
+                    pairs.append((i, j))
+        pairs.sort(
+            key=lambda p: (
+                self.cycles[p[0]].bit_count() + self.cycles[p[1]].bit_count(),
+                p[0],
+                p[1],
             )
-            self._pairs = pairs
-        return self._pairs
+        )
+        return pairs
 
     # -- rule C ---------------------------------------------------------------
 
-    @property
-    def c_models(self) -> list[MinorModel]:
-        if self._c_models is None:
-            self._c_models = list(
-                enumerate_minor_models(self.host, _K6, limits=self.limits)
-            )
-        return self._c_models
-
-    @property
-    def c_conditions(self) -> list[tuple[tuple[int, ...], int, tuple]]:
-        """Deduped (vectors, model index, quad) conditions in search order."""
-        if self._c_conditions is None:
-            out = []
-            seen: set[tuple[int, ...]] = set()
-            for mi, model in enumerate(self.c_models):
-                for quad in itertools.combinations(range(6), 4):
-                    tris = [
-                        (quad[0], quad[1], quad[2]),
-                        (quad[0], quad[1], quad[3]),
-                        (quad[0], quad[2], quad[3]),
-                    ]
-                    sigs = []
-                    for a, b, c in tris:
-                        pmask = _pattern_edge_mask(_K6, [(a, b), (a, c), (b, c)])
-                        sigs.append(self.cs.signature(lift(model, pmask)))
-                    key = _rref(sigs)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append((key, mi, quad))
-            self._c_conditions = out
-        return self._c_conditions
+    def _c_condition_stream(self) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
+        seen: set[tuple[int, ...]] = set()
+        for mi, model in enumerate(self.c_models):
+            for quad in itertools.combinations(range(6), 4):
+                tris = [
+                    (quad[0], quad[1], quad[2]),
+                    (quad[0], quad[1], quad[3]),
+                    (quad[0], quad[2], quad[3]),
+                ]
+                sigs = []
+                for a, b, c in tris:
+                    pmask = _pattern_edge_mask(_K6, [(a, b), (a, c), (b, c)])
+                    sigs.append(self.cs.signature(lift(model, pmask)))
+                key = _rref(sigs)
+                if key not in seen:
+                    seen.add(key)
+                    yield key, mi, quad
 
     # -- rule B ---------------------------------------------------------------
 
-    @property
-    def b_models(self) -> dict[str, list[MinorModel]]:
-        if self._b_models is None:
-            from .families import petersen_family
+    @cached_property
+    def b_models(self) -> dict[str, _OnDemand]:
+        from .families import petersen_family
 
-            fam = petersen_family()
-            # K6 is a family member too: share the rule-C models
-            self._b_models = {
-                name: self.c_models
-                if g == _K6
-                else list(enumerate_minor_models(self.host, g, limits=self.limits))
-                for name, g in fam.members.items()
-                if g.n <= self.host.n and g.m <= self.host.m
-            }
-        return self._b_models
+        fam = petersen_family()
+        # K6 is a family member too: share the rule-C models
+        return {
+            name: self.c_models
+            if g == _K6
+            else _OnDemand(enumerate_minor_models(self.host, g, limits=self.limits))
+            for name, g in fam.members.items()
+            if g.n <= self.host.n and g.m <= self.host.m
+        }
 
-    @property
-    def b_conditions(self) -> list[tuple[tuple[int, ...], str, int, int]]:
-        """Deduped (vectors, member, model index, apex) in search order."""
-        if self._b_conditions is None:
-            out = []
-            seen: set[tuple[int, ...]] = set()
-            for name, models in self.b_models.items():
-                if not models:
-                    continue
-                member = models[0].pattern
-                apex_basis: dict[int, list[int]] = {}
+    def _b_condition_stream(self) -> Iterator[tuple[tuple[int, ...], str, int, int]]:
+        seen: set[tuple[int, ...]] = set()
+        for name, models in self.b_models.items():
+            if not models:
+                continue
+            member = models[0].pattern
+            apex_basis: dict[int, list[int]] = {}
+            for apex in range(member.n):
+                sub = member.delete_vertex(apex)
+                masks = []
+                for bmask in cycle_space(sub).basis:
+                    edges = [
+                        (a + (a >= apex), b + (b >= apex))
+                        for a, b in sub.edges_of_mask(bmask)
+                    ]
+                    masks.append(_pattern_edge_mask(member, edges))
+                apex_basis[apex] = masks
+            for mi, model in enumerate(models):
                 for apex in range(member.n):
-                    sub = member.delete_vertex(apex)
-                    masks = []
-                    for bmask in cycle_space(sub).basis:
-                        edges = [
-                            (a + (a >= apex), b + (b >= apex))
-                            for a, b in sub.edges_of_mask(bmask)
-                        ]
-                        masks.append(_pattern_edge_mask(member, edges))
-                    apex_basis[apex] = masks
-                for mi, model in enumerate(models):
-                    for apex in range(member.n):
-                        sigs = [
-                            self.cs.signature(lift(model, pmask))
-                            for pmask in apex_basis[apex]
-                        ]
-                        key = _rref(sigs)
-                        if key not in seen:
-                            seen.add(key)
-                            out.append((key, name, mi, apex))
-            self._b_conditions = out
-        return self._b_conditions
+                    sigs = [
+                        self.cs.signature(lift(model, pmask))
+                        for pmask in apex_basis[apex]
+                    ]
+                    key = _rref(sigs)
+                    if key not in seen:
+                        seen.add(key)
+                        yield key, name, mi, apex
 
 
 _CTX_CACHE: dict[tuple[Graph, Limits], RuleContext] = {}
@@ -328,18 +359,21 @@ class _Sweeper:
             p ^= self.full
         return p
 
-    def sweep(self, win: int) -> tuple[bytearray, list[int]]:
+    def sweep(self, win: int) -> tuple[bytearray, list[int], list[int]]:
+        """Rule and evidence index per offset of one window, plus how many
+        C and B conditions were examined (the highest index tested + 1).
+
+        The bitmap is tested for emptiness right after a condition forced
+        something, so no condition past the last useful one is fetched.
+        """
         ctx = self.ctx
-        width = self.width
         full = self.full
-        rule_of = bytearray(width)
-        ev_of = [0] * width
+        rule_of = bytearray(self.width)
+        ev_of = [0] * self.width
         undec = full
         if "A" in self.rules:
             sigs = ctx.cycle_sigs
             for pid, (i, j) in enumerate(ctx.pairs):
-                if not undec:
-                    break
                 h = self.ones(sigs[i], win) & self.ones(sigs[j], win) & undec
                 if h:
                     undec &= ~h
@@ -349,12 +383,18 @@ class _Sweeper:
                         h ^= lsb
                         rule_of[u] = 1
                         ev_of[u] = pid
-        if "C" in self.rules and undec:
-            for cid, (vecs, _, _) in enumerate(ctx.c_conditions):
-                if not undec:
-                    break
+                    if not undec:
+                        break
+        examined = [0, 0]
+        for k, (rule, code, table) in enumerate(
+            (("C", 2, ctx.c_conditions), ("B", 3, ctx.b_conditions))
+        ):
+            if rule not in self.rules or not undec:
+                continue
+            for cid, cond in enumerate(table):
+                examined[k] = cid + 1
                 h = undec
-                for r in vecs:
+                for r in cond[0]:
                     h &= self.ones(r, win) ^ full
                     if not h:
                         break
@@ -364,26 +404,11 @@ class _Sweeper:
                         lsb = h & -h
                         u = lsb.bit_length() - 1
                         h ^= lsb
-                        rule_of[u] = 2
+                        rule_of[u] = code
                         ev_of[u] = cid
-        if "B" in self.rules and undec:
-            for bid, (vecs, _, _, _) in enumerate(ctx.b_conditions):
-                if not undec:
-                    break
-                h = undec
-                for r in vecs:
-                    h &= self.ones(r, win) ^ full
-                    if not h:
+                    if not undec:
                         break
-                if h:
-                    undec &= ~h
-                    while h:
-                        lsb = h & -h
-                        u = lsb.bit_length() - 1
-                        h ^= lsb
-                        rule_of[u] = 3
-                        ev_of[u] = bid
-        return rule_of, ev_of
+        return rule_of, ev_of, examined
 
 
 _FORK_CTX: dict = {}
@@ -394,11 +419,13 @@ def _sweep_chunk(args):
     sweeper: _Sweeper = _FORK_CTX["sweeper"]
     rules = bytearray()
     evs: list[int] = []
+    examined = [0, 0]
     for win in range(lo, hi):
-        r, e = sweeper.sweep(win)
+        r, e, x = sweeper.sweep(win)
         rules.extend(r)
         evs.extend(e)
-    return bytes(rules), evs
+        examined = [max(pair) for pair in zip(examined, x)]
+    return bytes(rules), evs, examined
 
 
 @dataclass
@@ -471,7 +498,7 @@ def certify(
 ) -> Certificate:
     """Sweep all 2^dim assignments, attaching evidence in A, C, B order."""
     rules = parse_rules(rules)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = rule_context(g, limits)
     if ctx.dim > limits.max_dim:
         raise DimensionExceeded(f"dimension {ctx.dim} exceeds cap {limits.max_dim}")
@@ -482,16 +509,15 @@ def certify(
     sweeper = _Sweeper(ctx, rules, window_bits)
     nwin = 1 << max(0, ctx.dim - sweeper.w)
     if jobs <= 1 or nwin == 1:
-        rule_of = bytearray()
-        ev_of: list[int] = []
-        for win in range(nwin):
-            r, e = sweeper.sweep(win)
-            rule_of.extend(r)
-            ev_of.extend(e)
+        parts = map(sweeper.sweep, range(nwin))
     else:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
+        # build the tables once, here, so that every worker inherits them
+        for rule, table in (("A", "pairs"), ("C", "c_conditions"), ("B", "b_conditions")):
+            if rule in rules:
+                len(getattr(ctx, table))
         _FORK_CTX["sweeper"] = sweeper
         chunk = (nwin + jobs - 1) // jobs
         ranges = [(lo, min(lo + chunk, nwin)) for lo in range(0, nwin, chunk)]
@@ -501,11 +527,13 @@ def certify(
                 parts = list(pool.map(_sweep_chunk, ranges))
         finally:
             _FORK_CTX.clear()
-        rule_of = bytearray()
-        ev_of = []
-        for r, e in parts:
-            rule_of.extend(r)
-            ev_of.extend(e)
+    rule_of = bytearray()
+    ev_of: list[int] = []
+    examined = [0, 0]
+    for r, e, x in parts:
+        rule_of.extend(r)
+        ev_of.extend(e)
+        examined = [max(pair) for pair in zip(examined, x)]
 
     total = 1 << ctx.dim
     rule_of = rule_of[:total]
@@ -519,8 +547,8 @@ def certify(
     stats = {
         "cycles": len(ctx.cycles),
         "disjoint_pairs": len(ctx.pairs) if "A" in rules else 0,
-        "c_conditions": len(ctx.c_conditions) if "C" in rules else 0,
-        "b_conditions": len(ctx.b_conditions) if "B" in rules else 0,
+        "c_conditions": examined[0],
+        "b_conditions": examined[1],
     }
     verdict = "CERTIFIED" if not unforced else "UNDECIDED"
     return Certificate(
@@ -534,7 +562,7 @@ def certify(
         counts=counts,
         unforced=unforced,
         stats=stats,
-        wall_time=time.time() - t0,
+        wall_time=time.perf_counter() - t0,
         ctx=ctx,
     )
 
@@ -741,7 +769,7 @@ def minimality_scan(
     limits: Limits = DEFAULT_LIMITS,
 ) -> MinimalityReport:
     """Certify both one-step minors for one representative per edge orbit."""
-    parse_rules(rules)
+    rules = parse_rules(rules)
     table = orbits(g, limits)
     edge_orbits = [
         orb for orb in table.pair_orbits if g.has_edge(*orb[0])

@@ -150,6 +150,7 @@ def test_criterion_07_k7_minus_two_edges(name):
     _report(7, f"{name} CERTIFIED 8192/8192 via {cert.counts} in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_k6_therefore_k6():
     tf = therefore_family()
     g = next(g for n1, n2, i, g in tf.gluings if (n1, n2, i) == ("K6t", "K6t", 1))
@@ -173,6 +174,7 @@ def _certify_gluing(args):
     return (n1, n2, idx, cert.verdict, len(cert.unforced))
 
 
+@pytest.mark.slow
 def test_criterion_09_therefore_family():
     tf = therefore_family()
     assert len(tf.gluings) == 18
@@ -213,6 +215,7 @@ def _scan(args):
     ]
 
 
+@pytest.mark.slow
 def test_criterion_11_minimality_scans():
     sp = sporadic_graphs()
     tf = therefore_family()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -11,8 +12,10 @@ from rp3link import (
     canonical_form,
     canonical_graph,
     group_order,
+    load_fixture,
     orbits,
 )
+from rp3link.canon import _search
 from rp3link.config import Limits
 from rp3link.errors import SizeExceeded
 
@@ -169,3 +172,38 @@ def _brute_force_isomorphic_small(g: Graph, h: Graph) -> bool:
         return False
 
     return extend([], set())
+
+
+# sha256 of repr(_search(adj, n, [0] * n)) per bundled fixture and for the
+# edgeless 25-vertex graph; pinned before the pruning orbits were kept
+# incrementally per search node
+_SEARCH_SHA = {
+    "k331": "8302fb01d6ce0848b9cf9debf0e3abab36bd3eb1d6f127aaf90678241e6dbbaa",
+    "k44_minus_e": "fb1cac9adbcb7b9225a833db9880610f5ac3e430ac81e2394cf94295054295c4",
+    "k6": "7cf2a24d0c4d6cc88c9e58785f46d93a2ae70ce45a6d106d96667facb62cc799",
+    "k6_therefore": "c807e11d12d839472b65beef8d01eda9b5c0c0457a76735f22dc9255fbde02af",
+    "k6_therefore_k6": "fcc5b3d51475c2c40809cc83a83f6fe3e7908f3c247b7cc2ec5741e6f6e2bcee",
+    "k7_minus_two_adjacent": "4f7ae73702be2164b44be1cf848b46e6dad181f4b4594225061ba8d0dd69f157",
+    "k7_minus_two_nonadjacent": "4479c1d89d70a0fb5452b2d2ca928ba91a6bf1104729ca0b553b9e1f84620476",
+    "p7": "8e9a231a3c20e269a0b038850c660327c99d1a186988891e090943c15b71ac21",
+    "p7a_therefore": "b3c18a9119f3ba2971720d14c507881c18f5a463dbdbd3550fba610f864a07b6",
+    "p7b_therefore": "853b05690b86f0eb364bfaf35564569a0af8d17b40ea21b513cb0caab55cecd5",
+    "p8": "4732f11d8524261f45e599e7e80348d0ed651d90e46157b406bcfcbea90f6ee6",
+    "p8b_therefore": "6f7981f160e9f04d5b7a68eb57a3dc1eebdc066ae9725dd41bc6871c499c8932",
+    "p9": "2f4aecd2f6309974218c019f38380baa42d370f0c0f14a216a40c38267c4bd04",
+    "p9b_therefore": "8659d63398c6d0c09c3a941df18bd5c4d987a4e13fb47ec490b4874327949d0b",
+    "p9b_therefore_p9b": "6b19197fd501970d470c392ca21e255eddce5177ed145efd08cb2c57bf5c2295",
+    "petersen": "06c8fd98c6356a02894bc9bf88506f2ace46d95605c225440e4f58a751cab99b",
+    "edgeless25": "956ebbeca27712178081b63e7353d3c9d763c6bb7d5f0ae9458293775106246b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_SHA))
+def test_search_outputs_pinned(name):
+    if name == "edgeless25":
+        g = Graph(25, ())
+    else:
+        g = load_fixture(name)
+        g = getattr(g, "graph", g)  # the marked gluing pieces
+    out = _search(g.adj, g.n, [0] * g.n)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _SEARCH_SHA[name]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from rp3link import (
     rule_context,
     verify_certificate,
 )
+from rp3link import linkage
 from rp3link.config import Limits
 from rp3link.errors import DimensionExceeded, SizeExceeded
 from rp3link.homology import cycle_vertices
@@ -298,16 +300,19 @@ def _sha(obj) -> str:
 # sha256 of certify(...).to_json(include_timing=False), sha256 of the repr of
 # the _rref keys of the C and B conditions in order, and the model count per
 # pattern; pinned before absent minors were proved on 2-sum pieces and
-# before rule B shared the K6 models of rule C
+# before rule B shared the K6 models of rule C.  The certificate shas were
+# pinned again when stats.c_conditions / b_conditions came to count the
+# conditions the sweep examined instead of all generated ones (both graphs
+# are CERTIFIED, so only those two counts changed)
 _GOLDEN = {
     "K6(01)+K331(02)": (
-        "5c87eb12b4aca3f941f7b3706f7eb9af005936bfca99c24cc9bdfd5ea4c22930",
+        "95d830b624ee7e11497f5100d5f480d5b554844a5d63f4fa81bd2e9528c4e11e",
         "6293b7eab99106dd1392f582c4e0d2329a4623e104323ae451ca2586afeeb5f2",
         "155c910ba16314339f33825f90e08be5509136f5cdd9770e0de6f0682a81ac5a",
         {"K6": 598, "K331": 324, "P7": 0, "K44-e": 0, "P8": 0, "P9": 0, "Petersen": 0},
     ),
     "K6t~K6t": (
-        "cd5d20df191d9847428e474e2af828b1c52c83a8b24048fe993b1a48b07e9f80",
+        "576d58947066fdb7baac8d7b6513dbfb3b2b0b287bb145b2524bf4418c3b8924",
         "60f1291454606647404c96ae4f630c66d6fa050583226a9510cbb260c7e01a35",
         "3c88c7c45c5b65ecefb2ed35312c07282d4160908e3b8e6a0c3e2ea4a3e793ff",
         {"K6": 792, "K331": 0, "P7": 666, "K44-e": 0, "P8": 0, "P9": 0},
@@ -315,13 +320,18 @@ _GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_certificates_and_conditions_pinned(name):
+def _golden_graph(name: str) -> Graph:
     fam = petersen_family().members
     if name == "K6t~K6t":
-        g = load_fixture("k6_therefore_k6")
-    else:
-        g = glue_pair(fam["K6"], (0, 1), fam["K331"], (0, 2), 0)
+        return load_fixture("k6_therefore_k6")
+    if name == "K7-2adj":
+        return Graph.complete(7).delete_edge(4, 6).delete_edge(5, 6)
+    return glue_pair(fam["K6"], (0, 1), fam["K331"], (0, 2), 0)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_certificates_and_conditions_pinned(name):
+    g = _golden_graph(name)
     cert_sha, c_sha, b_sha, models = _GOLDEN[name]
     cert = certify(g)
     ctx = cert.ctx
@@ -330,3 +340,93 @@ def test_certificates_and_conditions_pinned(name):
     assert _sha([key for key, _, _, _ in ctx.b_conditions]) == b_sha
     assert {member: len(ms) for member, ms in ctx.b_models.items()} == models
     assert ctx.b_models["K6"] is ctx.c_models
+
+
+def _evidence_sha(cert) -> str:
+    return hashlib.sha256(bytes(cert.rule_of) + repr(cert.ev_of).encode()).hexdigest()
+
+
+def _json_sha_without_stats(cert) -> str:
+    doc = cert.report_dict(include_timing=False)
+    del doc["stats"]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of bytes(rule_of) + repr(ev_of), and of the certificate JSON minus
+# stats; pinned before models and conditions were generated on demand
+_EVIDENCE = {
+    "K6(01)+K331(02)": (
+        "436c1885a715c8579725b888cabf294b036e2501f0ed51899c85b83ec069bee8",
+        "10e92fa9bfb120e8b43ca3714b78193e1734215f327cf253a4f55fc4717ef1ca",
+    ),
+    "K6t~K6t": (
+        "7164de8a5dd319dfe0eb04beb6dd2454a906a42b74f21a410565cc9731e0b739",
+        "e8d66e6e7b08be3863c48ae0a71a87bcf4aaeed9622ee62215afa91586fbc108",
+    ),
+    "K7-2adj": (
+        "3f3d22a61c01f1de285f85b541d11585e2066c442779028509374578c6025ae0",
+        "8965cdd820c46d2f8cf64b8a67ca98d89e35fe9ec533efd0116ac90d23a31969",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVIDENCE))
+def test_evidence_pinned(name):
+    cert = certify(_golden_graph(name))
+    assert (_evidence_sha(cert), _json_sha_without_stats(cert)) == _EVIDENCE[name]
+
+
+@pytest.fixture
+def cold_contexts(monkeypatch):
+    """An empty context cache for one test."""
+    monkeypatch.setattr(linkage, "_CTX_CACHE", {})
+
+
+@pytest.mark.parametrize("name", ["K6(01)+K331(02)", "K7-2adj"])
+def test_certificate_independent_of_cache_state(name, cold_contexts):
+    g = _golden_graph(name)
+    cold = certify(g)
+    ctx = cold.ctx
+    cold_filled = (ctx.c_conditions.filled, ctx.b_conditions.filled)
+    # the cold run left a table unfinished; finish both
+    assert cold_filled != (len(ctx.c_conditions), len(ctx.b_conditions))
+    warm = certify(g)
+    assert warm.ctx is ctx
+    assert warm.to_json(include_timing=False) == cold.to_json(include_timing=False)
+    assert (bytes(warm.rule_of), warm.ev_of) == (bytes(cold.rule_of), cold.ev_of)
+
+
+def test_certify_generates_only_the_prefix_it_uses(cold_contexts):
+    cert = certify(load_fixture("k6_therefore_k6"))
+    verify_certificate(cert)
+    ctx = cert.ctx
+    assert cert.verdict == "CERTIFIED"
+    assert cert.stats["c_conditions"] == ctx.c_conditions.filled == 166
+    assert cert.stats["b_conditions"] == ctx.b_conditions.filled == 0
+    assert ctx.b_models["P7"].filled == 0
+    assert ctx.c_models.filled < len(ctx.c_models)
+
+
+def test_examined_counts_are_full_counts_when_undecided(k6):
+    cert = certify(k6)
+    assert cert.verdict == "UNDECIDED"
+    assert cert.stats["c_conditions"] == len(cert.ctx.c_conditions)
+    assert cert.stats["b_conditions"] == len(cert.ctx.b_conditions)
+
+
+def test_failed_table_raises_again():
+    def items():
+        yield 1
+        raise SizeExceeded("too big")
+
+    table = linkage._OnDemand(items())
+    assert table[0] == 1
+    for access in (len, list, bool, lambda t: t[0], lambda t: t[1]):
+        with pytest.raises(SizeExceeded):
+            access(table)
+
+
+def test_minimality_rules_normalised(k44e):
+    assert minimality_scan(k44e, "ab").rules == certify(k44e, "ab").rules == "AB"
+    assert minimality_scan(k44e, "ABC").rules == "ACB"
