@@ -514,17 +514,17 @@ def certify(
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
-        # build the tables once, here, so that every worker inherits them
-        for rule, table in (("A", "pairs"), ("C", "c_conditions"), ("B", "b_conditions")):
-            if rule in rules:
-                len(getattr(ctx, table))
+        # window 0 is swept here first: the A pairs and the prefix of the lazy
+        # C and B tables that it reads are then inherited by every worker,
+        # and a worker fills its own copy further only if its windows need it
+        parts = [sweeper.sweep(0)]
         _FORK_CTX["sweeper"] = sweeper
-        chunk = (nwin + jobs - 1) // jobs
-        ranges = [(lo, min(lo + chunk, nwin)) for lo in range(0, nwin, chunk)]
+        chunk = (nwin - 1 + jobs - 1) // jobs
+        ranges = [(lo, min(lo + chunk, nwin)) for lo in range(1, nwin, chunk)]
         try:
             fork = mp.get_context("fork")
             with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
-                parts = list(pool.map(_sweep_chunk, ranges))
+                parts.extend(pool.map(_sweep_chunk, ranges))
         finally:
             _FORK_CTX.clear()
     rule_of = bytearray()

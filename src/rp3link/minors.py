@@ -267,73 +267,72 @@ def _backtrack_models(
         )
         order.append(nxt)
         remaining.discard(nxt)
+    n = pattern.n
     padj = pattern.adj
     hadj = host.adj
-    extra_v = host.n - pattern.n
+    extra_v = host.n - n
     extra_e = host.m - pattern.m
-    complete_pattern = pattern.m == pattern.n * (pattern.n - 1) // 2
-    if complete_pattern:
-        group: list[tuple[int, ...]] = []
+    pos = [0] * n  # pattern vertex -> depth at which it is placed
+    for d, p in enumerate(order):
+        pos[p] = d
+    # the placed set at depth i is order[:i], so per-depth tables are static:
+    # the depths of placed neighbours in ascending pattern-vertex order
+    # (reqs[i][0] picks the anchors), the edges owed to still-unplaced
+    # neighbours, and the (depth, count) pairs of placed vertices that still
+    # need that many edges into the pool left after depth i
+    reqs = [
+        [pos[q] for q in range(n) if (padj[p] >> q) & 1 and pos[q] < i]
+        for i, p in enumerate(order)
+    ]
+    degs = [pattern.degree(p) for p in order]
+    futures = [degs[i] - len(reqs[i]) for i in range(n)]
+    pendings = []
+    for i in range(n):
+        later = sum(1 << p for p in order[i + 1:])
+        owed = [(d, (padj[order[d]] & later).bit_count()) for d in range(i)]
+        pendings.append([(d, c) for d, c in owed if c])
+    # Lex-leader pruning: a model is kept only if no automorphism sigma maps
+    # it to a lexicographically smaller one, comparing the branch set at
+    # depth pos[sigma[order[j]]] with the one at depth j for j = 0, 1, ...
+    # Branch sets are disjoint and nonempty, so the first j that sigma moves
+    # decides the comparison.  That one comparison, (k, j), is made as soon
+    # as both sets are placed, at depth max(j, k); sigmas sharing it share
+    # the check.  When the pattern is complete every permutation is an
+    # automorphism, and the checks reduce to ascending masks.
+    checks: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    if pattern.m == n * (n - 1) // 2:
+        for i in range(1, n):
+            checks[i].add((i, i - 1))
     else:
-        group = [g for g in _pattern_group(pattern) if g != tuple(range(pattern.n))]
-
-    branch: dict[int, int] = {}  # pattern vertex -> host mask
-
-    def advance(tied: list[tuple[tuple[int, ...], int]], i: int):
-        # lex-leader pruning, incremental: each still-tied automorphism
-        # carries a cursor; comparisons resume once the compared image is
-        # placed.  Returns the surviving list, or None to prune the node.
-        out = []
-        for sigma, j in tied:
-            dead = False
-            while j <= i:
-                q = sigma[order[j]]
-                if q not in branch:
+        for sigma in _pattern_group(pattern):
+            for j, p in enumerate(order):
+                k = pos[sigma[p]]
+                if k != j:
+                    checks[max(j, k)].add((k, j))
                     break
-                a, b = branch[q], branch[order[j]]
-                if a < b:
-                    return None
-                if a > b:
-                    dead = True
-                    break
-                j += 1
-            if not dead:
-                out.append((sigma, j))
-        return out
 
-    def place(
-        i: int, used: int, spent_v: int, spent_e: int, tied
-    ) -> Iterator[dict[int, int]]:
-        if i == pattern.n:
-            yield dict(branch)
+    branch = [0] * n  # depth -> host mask of the branch set placed there
+
+    def place(i: int, used: int, spent_v: int, spent_e: int) -> Iterator[list[int]]:
+        if i == n:
+            yield branch
             return
-        p = order[i]
-        deg_p = pattern.degree(p)
-        req = [branch[q] for q in range(pattern.n) if (padj[p] >> q) & 1 and q in branch]
+        avail = ~used & ((1 << host.n) - 1)
+        if avail.bit_count() < n - i:
+            return
+        deg_p = degs[i]
+        req = [branch[d] for d in reqs[i]]
         req_union = 0
         for r in req:
             req_union |= r
-        avail = ~used & ((1 << host.n) - 1)
-        if avail.bit_count() < pattern.n - i:
-            return
         cap = 1 + min(extra_v - spent_v, extra_e - spent_e)
-        future = deg_p - len(req)
-        # placed vertices that still need edges into the remaining pool
-        pending = []
-        for q in branch:
-            c = sum(
-                1
-                for r in range(pattern.n)
-                if (padj[q] >> r) & 1 and r != p and r not in branch
-            )
-            if c:
-                pending.append((branch[q], c))
+        future = futures[i]
+        pending = [(branch[d], c) for d, c in pendings[i]]
         anchors = None
         if req:
             # branch set must touch the neighbourhood of a placed neighbour
             anchors = 0
-            r0 = req[0]
-            s = r0
+            s = req[0]
             while s:
                 lsb = s & -s
                 anchors |= hadj[lsb.bit_length() - 1]
@@ -357,9 +356,13 @@ def _backtrack_models(
                 s ^= lsb
             if boundary_edges < deg_p or future_edges < future:
                 continue
-            if any(not (nbhd & r) for r in req):
-                continue
             ok = True
+            for r in req:
+                if not nbhd & r:
+                    ok = False
+                    break
+            if not ok:
+                continue
             for qmask, c in pending:
                 cnt = 0
                 s = qmask
@@ -372,21 +375,19 @@ def _backtrack_models(
                     break
             if not ok:
                 continue
-            if complete_pattern and i and sub < branch[order[i - 1]]:
-                continue  # canonical class representative: ascending masks
-            size = sub.bit_count()
-            branch[p] = sub
-            new_tied = advance(tied, i) if tied else tied
-            if new_tied is not None:
-                yield from place(
-                    i + 1, used | sub, spent_v + size - 1, spent_e + size - 1, new_tied
-                )
-            del branch[p]
+            branch[i] = sub
+            for k, j in checks[i]:
+                if branch[k] < branch[j]:
+                    break  # an automorphism maps the model to a smaller one
+            else:
+                size = sub.bit_count()
+                yield from place(i + 1, used | sub, spent_v + size - 1, spent_e + size - 1)
 
-    for assignment in place(0, 0, 0, 0, [(sigma, 0) for sigma in group]):
+    for placed in place(0, 0, 0, 0):
+        assignment = [placed[pos[p]] for p in range(n)]
         sets = tuple(
             tuple(v for v in range(host.n) if (assignment[p] >> v) & 1)
-            for p in range(pattern.n)
+            for p in range(n)
         )
         trees = tuple(_bfs_tree(host, bs) for bs in sets)
         choices: list[list[Edge]] = []

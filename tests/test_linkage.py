@@ -408,6 +408,16 @@ def test_certify_generates_only_the_prefix_it_uses(cold_contexts):
     assert ctx.c_models.filled < len(ctx.c_models)
 
 
+def test_forked_sweep_leaves_the_tables_lazy(cold_contexts):
+    # window 0 is swept before forking and the workers fill their own copies
+    # of the tables, each only as far as its windows read them
+    g = load_fixture("k6_therefore_k6")
+    cert = certify(g, jobs=2)
+    assert cert.ctx.b_conditions.filled == 0
+    assert 0 < cert.ctx.c_conditions.filled <= cert.stats["c_conditions"] == 166
+    assert cert.stats == certify(g).stats
+
+
 def test_examined_counts_are_full_counts_when_undecided(k6):
     cert = certify(k6)
     assert cert.verdict == "UNDECIDED"

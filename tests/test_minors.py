@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
 import random
 
 import pytest
@@ -11,13 +14,14 @@ from rp3link import (
     glue_pair,
     glue_vertex,
     is_minor,
+    load_fixture,
     petersen_family,
     validate_model,
 )
 from rp3link.errors import ModelInvalid, SizeExceeded
-from rp3link.minors import MinorModel, _backtrack_models
+from rp3link.minors import MinorModel, _backtrack_models, _pattern_group
 
-from conftest import random_graph
+from conftest import brute_force_automorphisms, random_graph
 
 
 def test_k5_minor_of_k6(k6):
@@ -171,3 +175,202 @@ def test_shortcut_skips_patterns_that_are_not_3_connected():
     # and neither triangle contains the bowtie
     bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert is_minor(bowtie, bowtie) is not None
+
+
+def _stream_host(name: str) -> Graph:
+    k6t = load_fixture("k6_therefore_k6")
+    if name == "K7-2adj":
+        return Graph.complete(7).delete_edge(4, 6).delete_edge(5, 6)
+    if name == "K7-2nonadj":
+        return Graph.complete(7).delete_edge(3, 4).delete_edge(5, 6)
+    if name == "K44-e":
+        return Graph.complete_bipartite(4, 4).delete_edge(0, 4)
+    if name == "K44":
+        return Graph.complete_bipartite(4, 4)
+    if name in ("Petersen+01", "P8+01"):
+        return petersen_family().members[name[:-3]].add_edge(0, 1)
+    if name == "K6t~K6t":
+        return k6t
+    if name.startswith("random"):
+        return random_graph(random.Random(int(name[7:])), 9, 0.6)
+    op, k = name.split(":")[1:]
+    e = k6t.edges[int(k)]
+    return k6t.delete_edge(*e) if op == "delete" else k6t.contract_edge(*e)
+
+
+# sha256 of the ordered (member, branch_sets, edge_map) stream over all seven
+# Petersen-family members, and the model count per member, pinned before the
+# search loop was rewritten: the models and their order must not change
+_STREAMS = {
+    "K7-2adj": (
+        "150dc565367306d016a52b0f363966d996126a173a7db8e57d9bd0bbfa6f7a6a",
+        (33, 4, 8, 0, 0, 0, 0),
+    ),
+    "K7-2nonadj": (
+        "5c9574bd305049c67c7fcc8116396b8d2bc15ee0f1574898bcb32cc50271bb4d",
+        (32, 6, 12, 0, 0, 0, 0),
+    ),
+    "K44-e": (
+        "81df6ad8fc5115763dd139208077d27a5462c0d2764355df9913aa99f3b3c7c6",
+        (0, 0, 0, 1, 0, 0, 0),
+    ),
+    "K44": (
+        "3796b8ad54bb1fc3021b1d8f3ba86b400172d47dfca27f541e914c09c3ebeacd",
+        (0, 16, 0, 16, 0, 0, 0),
+    ),
+    "Petersen+01": (
+        "f54b5b6fa097ab17e8cb452206d7cee75054fcf5be5da4ed0fde96bceef43a81",
+        (0, 0, 0, 0, 0, 1, 1),
+    ),
+    "P8+01": (
+        "0d4324a97aa4524bae82dab9ef545e955ce22edfbb8f3d0d722572508e17eba8",
+        (0, 0, 1, 0, 1, 0, 0),
+    ),
+    "random:2": (
+        "c132535e32a5fbfe7afe11b4cf4d3e7de5a3e4a2957ed9c4619ddb34a1586a8c",
+        (360, 255, 513, 8, 121, 3, 0),
+    ),
+    "random:12": (
+        "a8a2b7b364023de86caa44ef821909c01ef79777300b2282bfca40a43538e44f",
+        (256, 52, 220, 3, 49, 0, 0),
+    ),
+    "K6t~K6t": (
+        "a98cb88388fd33cc25689b17f59b35a21bdfd1b9d65fec2c7812a84b55e32b4b",
+        (792, 0, 666, 0, 0, 0, 0),
+    ),
+    "K6t~K6t:delete:0": (
+        "14acb78b5df24c1c481a4a26ca02cefd773bc08d978c57c1f0e607cc303883be",
+        (206, 0, 206, 0, 0, 0, 0),
+    ),
+    "K6t~K6t:contract:0": (
+        "e38f50c379a5b14e05204fd6d7c3a11a9183a2d957a510f74caddab91b7c2d87",
+        (76, 0, 22, 0, 0, 0, 0),
+    ),
+    "K6t~K6t:delete:20": (
+        "4734f8f4dfe685dcbc5ebb5ab534447b76b590e0a57fe42d1d23bff08fa6de5b",
+        (312, 0, 217, 0, 0, 0, 0),
+    ),
+    "K6t~K6t:contract:20": (
+        "136c5d8f15d412ba9012b60d82710e3ce2d58fac02037d29f830ee808fbc5b0f",
+        (18, 0, 22, 0, 0, 0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STREAMS))
+def test_model_stream_pinned(name):
+    host = _stream_host(name)
+    digest = hashlib.sha256()
+    counts = []
+    for member, pattern in petersen_family().members.items():
+        count = 0
+        for model in enumerate_minor_models(host, pattern):
+            digest.update(repr((member, model.branch_sets, model.edge_map)).encode())
+            count += 1
+        counts.append(count)
+    assert (digest.hexdigest(), tuple(counts)) == _STREAMS[name]
+
+
+def test_pattern_groups_of_the_family():
+    # the lex-leader pruning quotients by these groups: a wrong group would
+    # silently drop or duplicate models
+    sizes = {name: len(_pattern_group(g)) for name, g in petersen_family().members.items()}
+    assert sizes == {
+        "K6": 720, "K331": 72, "P7": 36, "K44-e": 72, "P8": 8, "P9": 12, "Petersen": 120,
+    }
+
+
+def _brute_force_assignments(host: Graph, pattern: Graph) -> set[tuple[int, ...]]:
+    """Oracle: every map from host vertices to pattern vertices or 'unused'
+    whose branch sets are connected and join every pattern edge.  Maps are
+    generated vertex by vertex; a partial map is abandoned only when too few
+    host vertices are left to give every pattern vertex one."""
+    k = pattern.n
+    found = set()
+
+    def connected(mask: int) -> bool:
+        reach = frontier = mask & -mask
+        while frontier:
+            lsb = frontier & -frontier
+            frontier ^= lsb
+            new = host.adj[lsb.bit_length() - 1] & mask & ~reach
+            reach |= new
+            frontier |= new
+        return reach == mask
+
+    def extend(v: int, sets: list[int], empty: int) -> None:
+        if empty > host.n - v:
+            return
+        if v == host.n:
+            nbhd = [0] * k
+            for u in range(host.n):
+                for p in range(k):
+                    if (sets[p] >> u) & 1:
+                        nbhd[p] |= host.adj[u]
+            if all(nbhd[p] & sets[q] for p, q in pattern.edges) and all(
+                map(connected, sets)
+            ):
+                found.add(tuple(sets))
+            return
+        extend(v + 1, sets, empty)  # v unused
+        for p in range(k):
+            was_empty = not sets[p]
+            sets[p] |= 1 << v
+            extend(v + 1, sets, empty - was_empty)
+            sets[p] &= ~(1 << v)
+
+    extend(0, [0] * k, k)
+    return found
+
+
+def test_backtracking_is_complete_against_brute_force():
+    patterns = {
+        "K4": Graph.complete(4),
+        "K4-e": Graph.complete(4).delete_edge(0, 1),
+        "C5": Graph.cycle_graph(5),
+        "K5": Graph.complete(5),
+        "K33": Graph.complete_bipartite(3, 3),
+        "K331": petersen_family().members["K331"],
+    }
+    groups = {name: brute_force_automorphisms(g) for name, g in patterns.items()}
+    rng = random.Random(12)
+    present = {name: 0 for name in patterns}
+    k7 = Graph.complete(7)
+    for trial in range(12):
+        # every third host is K7 less a few edges, so that K331 may fit; the
+        # 4-vertex patterns, with their many models, skip those hosts
+        if trial % 3 == 0:
+            host = Graph.from_edges(7, rng.sample(k7.edges, 21 - rng.randint(2, 4)))
+        else:
+            host = random_graph(rng, rng.randint(5, 6), 0.75)
+        for name, pattern in patterns.items():
+            if pattern.n > host.n or (pattern.n == 4 and host.n == 7):
+                continue
+            group = groups[name]
+            oracle = _brute_force_assignments(host, pattern)
+            # models of one assignment come together, one per edge-map choice
+            runs = [
+                (bs, sum(1 for _ in same))
+                for bs, same in itertools.groupby(
+                    _backtrack_models(host, pattern), key=lambda model: model.branch_sets
+                )
+            ]
+            emitted = [tuple(sum(1 << v for v in bs) for bs in sets) for sets, _ in runs]
+            # disjoint nonempty branch sets have a trivial stabiliser, so the
+            # emitted assignments hit each automorphism orbit exactly once
+            # when their images under the group are all distinct
+            images = {tuple(a[sigma[p]] for p in range(pattern.n))
+                      for a in emitted for sigma in group}
+            assert len(images) == len(emitted) * len(group), (name, host)
+            assert images == oracle, (name, host)
+            # and every edge-map choice of each assignment
+            for sets, (_, count) in zip(emitted, runs):
+                per_edge = [
+                    sum(1 for u, v in host.edges
+                        if (sets[p] >> u) & 1 and (sets[q] >> v) & 1
+                        or (sets[q] >> u) & 1 and (sets[p] >> v) & 1)
+                    for p, q in pattern.edges
+                ]
+                assert count == math.prod(per_edge), (name, host, sets)
+            present[name] += bool(oracle)
+    assert all(present.values()), present
