@@ -5,7 +5,7 @@ The full sweep covers 597 graphs with cycle-space dimensions up to 20
 (about a million assignments for the largest), so expect a long run;
 use --sample for a quick spot check.
 
-Usage: python scripts/certify_catalog.py [--sample N] [--jobs J] [--k 0 1 2]
+Usage: python scripts/certify_catalog.py [--sample N] [--k 0 1 2]
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from rp3link.config import Limits
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sample", type=int, default=0, help="entries per class (0 = all)")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--k", type=int, nargs="*", default=[0, 1, 2])
     args = ap.parse_args()
 
@@ -61,7 +60,7 @@ def main() -> int:
     for label, entries in batches:
         for name, g in entries:
             t0 = time.time()
-            cert = certify(g, rules="ABC", jobs=args.jobs, limits=limits)
+            cert = certify(g, rules="ABC", limits=limits)
             status = cert.verdict
             if status != "CERTIFIED":
                 failures.append((name, len(cert.unforced)))

@@ -31,15 +31,12 @@ from .patterns import k33_census
 @dataclass(frozen=True)
 class RunConfig:
     rules: str = "ABC"
-    jobs: int = 1
     format: str = "text"
     expect: str = "none"
     obstructions: str | None = None
     limits: Limits = DEFAULT_LIMITS
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("worker count must be >= 1")
         if self.expect not in ("certified", "undecided", "none"):
             raise ValueError(f"bad expectation {self.expect!r}")
         parse_rules(self.rules)
@@ -122,7 +119,7 @@ def _expect_exit(cfg: RunConfig, verdict: str) -> int:
 
 def _cmd_certify(cfg: RunConfig, args) -> int:
     g = _load(args.graph)
-    cert = certify(g, rules=cfg.rules, jobs=cfg.jobs, limits=cfg.limits)
+    cert = certify(g, rules=cfg.rules, limits=cfg.limits)
     doc = cert.report_dict(include_timing=not args.no_timing)
     lines = [
         f"graph:     {cert.canon_g6}",
@@ -147,7 +144,7 @@ def _cmd_certify(cfg: RunConfig, args) -> int:
 
 def _cmd_minimality(cfg: RunConfig, args) -> int:
     g = _load(args.graph)
-    report = minimality_scan(g, rules=cfg.rules, jobs=cfg.jobs, limits=cfg.limits)
+    report = minimality_scan(g, rules=cfg.rules, limits=cfg.limits)
     doc = report.report_dict()
     lines = [
         f"graph: {report.graph_g6}",
@@ -261,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certification engine for intrinsic linking in projective 3-space",
     )
     ap.add_argument("--rules", default="ABC", help="rule subset, e.g. AB (default ABC)")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel workers")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument(
         "--expect",
@@ -309,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig(
             rules=args.rules,
-            jobs=args.jobs,
             format=args.format,
             expect=args.expect,
             obstructions=args.obstructions,

@@ -317,6 +317,8 @@ def rule_b(g: Graph, phi: HomologyAssignment, ctx: RuleContext | None = None):
 
 # -- windowed sweep -----------------------------------------------------------
 
+# a window of 2^16 assignments often empties early and keeps the memo of
+# patterns small; one window over all 2^dim is ~10x slower at dim 20
 _WINDOW_BITS = 16
 
 
@@ -334,10 +336,10 @@ def _base_patterns(w: int) -> list[int]:
 
 
 class _Sweeper:
-    def __init__(self, ctx: RuleContext, rules: str, window_bits: int | None = None):
+    def __init__(self, ctx: RuleContext, rules: str):
         self.ctx = ctx
         self.rules = rules
-        self.w = min(ctx.dim, _WINDOW_BITS if window_bits is None else window_bits)
+        self.w = min(ctx.dim, _WINDOW_BITS)
         self.width = 1 << self.w
         self.full = (1 << self.width) - 1
         self.low_mask = (1 << self.w) - 1
@@ -411,23 +413,6 @@ class _Sweeper:
         return rule_of, ev_of, examined
 
 
-_FORK_CTX: dict = {}
-
-
-def _sweep_chunk(args):
-    lo, hi = args
-    sweeper: _Sweeper = _FORK_CTX["sweeper"]
-    rules = bytearray()
-    evs: list[int] = []
-    examined = [0, 0]
-    for win in range(lo, hi):
-        r, e, x = sweeper.sweep(win)
-        rules.extend(r)
-        evs.extend(e)
-        examined = [max(pair) for pair in zip(examined, x)]
-    return bytes(rules), evs, examined
-
-
 @dataclass
 class Certificate:
     """Outcome of an exhaustive assignment sweep over one graph."""
@@ -493,7 +478,6 @@ class Certificate:
 def certify(
     g: Graph,
     rules: str = "ABC",
-    jobs: int = 1,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Certificate:
     """Sweep all 2^dim assignments, attaching evidence in A, C, B order."""
@@ -502,42 +486,17 @@ def certify(
     ctx = rule_context(g, limits)
     if ctx.dim > limits.max_dim:
         raise DimensionExceeded(f"dimension {ctx.dim} exceeds cap {limits.max_dim}")
-    window_bits = None
-    if jobs > 1 and ctx.dim > 4:
-        # several windows per worker; the split never changes results
-        window_bits = max(4, min(_WINDOW_BITS, ctx.dim - (4 * jobs - 1).bit_length()))
-    sweeper = _Sweeper(ctx, rules, window_bits)
-    nwin = 1 << max(0, ctx.dim - sweeper.w)
-    if jobs <= 1 or nwin == 1:
-        parts = map(sweeper.sweep, range(nwin))
-    else:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-
-        # window 0 is swept here first: the A pairs and the prefix of the lazy
-        # C and B tables that it reads are then inherited by every worker,
-        # and a worker fills its own copy further only if its windows need it
-        parts = [sweeper.sweep(0)]
-        _FORK_CTX["sweeper"] = sweeper
-        chunk = (nwin - 1 + jobs - 1) // jobs
-        ranges = [(lo, min(lo + chunk, nwin)) for lo in range(1, nwin, chunk)]
-        try:
-            fork = mp.get_context("fork")
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
-                parts.extend(pool.map(_sweep_chunk, ranges))
-        finally:
-            _FORK_CTX.clear()
+    sweeper = _Sweeper(ctx, rules)
     rule_of = bytearray()
     ev_of: list[int] = []
     examined = [0, 0]
-    for r, e, x in parts:
+    for win in range(1 << (ctx.dim - sweeper.w)):
+        r, e, x = sweeper.sweep(win)
         rule_of.extend(r)
         ev_of.extend(e)
         examined = [max(pair) for pair in zip(examined, x)]
 
     total = 1 << ctx.dim
-    rule_of = rule_of[:total]
-    ev_of = ev_of[:total]
     unforced = [v for v in range(total) if rule_of[v] == 0]
     counts = {
         "A": sum(1 for r in rule_of if r == 1),
@@ -765,7 +724,6 @@ class MinimalityReport:
 def minimality_scan(
     g: Graph,
     rules: str = "ABC",
-    jobs: int = 1,
     limits: Limits = DEFAULT_LIMITS,
 ) -> MinimalityReport:
     """Certify both one-step minors for one representative per edge orbit."""
@@ -785,7 +743,7 @@ def minimality_scan(
             ("delete", g.delete_edge(*e)),
             ("contract", g.contract_edge(*e)),
         ):
-            cert = certify(minor, rules=rules, jobs=jobs, limits=limits)
+            cert = certify(minor, rules=rules, limits=limits)
             report.entries.append(
                 MinimalityEntry(e, op_name, cert.verdict, len(cert.unforced))
             )

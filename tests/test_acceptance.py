@@ -32,6 +32,7 @@ from rp3link import (
     therefore_family,
     verify_certificate,
 )
+from rp3link import linkage
 from rp3link.homology import all_simple_cycles
 
 
@@ -254,12 +255,14 @@ def test_criterion_12_reconciliation():
 # -- 13. determinism --------------------------------------------------------------------------
 
 
-def test_criterion_13_determinism():
+def test_criterion_13_determinism(monkeypatch):
     tf = therefore_family()
     g = next(g for n1, n2, i, g in tf.gluings if (n1, n2, i) == ("K6t", "K6t", 1))
     docs = []
-    for jobs in (1, 4, 8):
-        cert = certify(g, rules="ABC", jobs=jobs)
+    for cold in (True, False, True):
+        if cold:
+            monkeypatch.setattr(linkage, "_CTX_CACHE", {})
+        cert = certify(g, rules="ABC")
         docs.append(cert.to_json(include_timing=False))
     assert docs[0] == docs[1] == docs[2]
     fam = petersen_family()
@@ -277,4 +280,4 @@ def test_criterion_13_determinism():
             )
         )
     assert manifests[0] == manifests[1]
-    _report(13, "certificates byte-identical across 1/4/8 workers; manifests stable")
+    _report(13, "certificates byte-identical cold, warm and cold again; manifests stable")

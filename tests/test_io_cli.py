@@ -91,8 +91,6 @@ def test_load_graph_records(tmp_path):
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(jobs=0)
-    with pytest.raises(ValueError):
         RunConfig(expect="maybe")
 
 
@@ -142,23 +140,9 @@ def test_cli_certify_expectations(capsys):
 def test_cli_certify_json_stable(capsys):
     path = str(fixture_path("k44_minus_e"))
     outs = []
-    for jobs in ("1", "4"):
-        assert (
-            main(
-                [
-                    "--rules",
-                    "AB",
-                    "--format",
-                    "json",
-                    "--jobs",
-                    jobs,
-                    "certify",
-                    path,
-                    "--no-timing",
-                ]
-            )
-            == 0
-        )
+    for _ in range(2):
+        argv = ["--rules", "AB", "--format", "json", "certify", path, "--no-timing"]
+        assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     doc = json.loads(outs[0])
