@@ -17,13 +17,17 @@ over-approximates the embedding-realizable assignments.
 Assignments are swept in windows of up to 2^16 indices held as bitmap
 integers (bit u = assignment u of the window); the parity of ``v & r``
 over a window is a Walsh pattern, so every rule reduces to a few big-int
-AND/XOR operations per condition.
+AND/XOR operations per condition.  Each cycle's bitmap is built at most
+once per window, when a rule-A pair first needs it.  A forced bitmap is
+decoded bytewise (``int.to_bytes`` and a table of the bits set in each
+byte value) straight into the per-assignment rule and evidence arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -335,6 +339,27 @@ def _base_patterns(w: int) -> list[int]:
     return pats
 
 
+# bit offsets set in each byte value, for decoding a bitmap bytewise
+_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
+_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+
+
+def _write_forced(h: int, start: int, rule_of: bytearray, ev_of: list[int],
+                  code: int, idx: int) -> None:
+    """Set rule_of[start + u] = code and ev_of[start + u] = idx for every
+    bit u of h >= 0.  Only the runs of nonzero bytes are visited, one table
+    lookup per byte."""
+    data = h.to_bytes((h.bit_length() + 7) // 8, "little")
+    for run in _NONZERO_BYTES.finditer(data):
+        base = start + 8 * run.start()
+        for byte in run.group():
+            for k in _BYTE_BITS[byte]:
+                u = base + k
+                rule_of[u] = code
+                ev_of[u] = idx
+            base += 8
+
+
 class _Sweeper:
     def __init__(self, ctx: RuleContext, rules: str):
         self.ctx = ctx
@@ -361,30 +386,34 @@ class _Sweeper:
             p ^= self.full
         return p
 
-    def sweep(self, win: int) -> tuple[bytearray, list[int], list[int]]:
-        """Rule and evidence index per offset of one window, plus how many
+    def sweep(self, win: int, rule_of: bytearray, ev_of: list[int]) -> list[int]:
+        """Write the rule and evidence index of every assignment of one
+        window into rule_of/ev_of (indexed by assignment); return how many
         C and B conditions were examined (the highest index tested + 1).
 
-        The bitmap is tested for emptiness right after a condition forced
-        something, so no condition past the last useful one is fetched.
+        A cycle's window bitmap is built the first time a pair needs it and
+        dropped with the window.  The bitmap is tested for emptiness right
+        after a condition forced something, so no condition past the last
+        useful one is fetched.
         """
         ctx = self.ctx
         full = self.full
-        rule_of = bytearray(self.width)
-        ev_of = [0] * self.width
+        start = win << self.w
         undec = full
         if "A" in self.rules:
             sigs = ctx.cycle_sigs
+            bitmaps: list[int | None] = [None] * len(sigs)
             for pid, (i, j) in enumerate(ctx.pairs):
-                h = self.ones(sigs[i], win) & self.ones(sigs[j], win) & undec
+                hi = bitmaps[i]
+                if hi is None:
+                    hi = bitmaps[i] = self.ones(sigs[i], win)
+                hj = bitmaps[j]
+                if hj is None:
+                    hj = bitmaps[j] = self.ones(sigs[j], win)
+                h = undec & hi & hj
                 if h:
-                    undec &= ~h
-                    while h:
-                        lsb = h & -h
-                        u = lsb.bit_length() - 1
-                        h ^= lsb
-                        rule_of[u] = 1
-                        ev_of[u] = pid
+                    undec ^= h
+                    _write_forced(h, start, rule_of, ev_of, 1, pid)
                     if not undec:
                         break
         examined = [0, 0]
@@ -401,16 +430,11 @@ class _Sweeper:
                     if not h:
                         break
                 if h:
-                    undec &= ~h
-                    while h:
-                        lsb = h & -h
-                        u = lsb.bit_length() - 1
-                        h ^= lsb
-                        rule_of[u] = code
-                        ev_of[u] = cid
+                    undec ^= h
+                    _write_forced(h, start, rule_of, ev_of, code, cid)
                     if not undec:
                         break
-        return rule_of, ev_of, examined
+        return examined
 
 
 @dataclass
@@ -487,22 +511,20 @@ def certify(
     if ctx.dim > limits.max_dim:
         raise DimensionExceeded(f"dimension {ctx.dim} exceeds cap {limits.max_dim}")
     sweeper = _Sweeper(ctx, rules)
-    rule_of = bytearray()
-    ev_of: list[int] = []
+    total = 1 << ctx.dim
+    rule_of = bytearray(total)
+    ev_of = [0] * total
     examined = [0, 0]
     for win in range(1 << (ctx.dim - sweeper.w)):
-        r, e, x = sweeper.sweep(win)
-        rule_of.extend(r)
-        ev_of.extend(e)
+        x = sweeper.sweep(win, rule_of, ev_of)
         examined = [max(pair) for pair in zip(examined, x)]
 
-    total = 1 << ctx.dim
-    unforced = [v for v in range(total) if rule_of[v] == 0]
-    counts = {
-        "A": sum(1 for r in rule_of if r == 1),
-        "C": sum(1 for r in rule_of if r == 2),
-        "B": sum(1 for r in rule_of if r == 3),
-    }
+    unforced = []
+    v = rule_of.find(0)
+    while v >= 0:
+        unforced.append(v)
+        v = rule_of.find(0, v + 1)
+    counts = {"A": rule_of.count(1), "C": rule_of.count(2), "B": rule_of.count(3)}
     stats = {
         "cycles": len(ctx.cycles),
         "disjoint_pairs": len(ctx.pairs) if "A" in rules else 0,
@@ -531,12 +553,14 @@ def certify(
 
 class _IndependentEvaluator:
     """Evaluates assignments by decomposing cycles over the fundamental basis
-    with fresh Gaussian elimination (no signature shortcut)."""
+    with fresh Gaussian elimination (no signature shortcut).  Each cycle is
+    eliminated once per evaluator and its coefficients memoised."""
 
     def __init__(self, host: Graph):
         self.host = host
         cs = cycle_space(host)
         self.basis = list(cs.basis)
+        self._coeffs: dict[int, int] = {}  # cycle mask -> basis coefficients
         self.piv: dict[int, tuple[int, int]] = {}  # leading edge bit -> (mask, coeffs)
         for i, b in enumerate(self.basis):
             mask, coeffs = b, 1 << i
@@ -551,6 +575,9 @@ class _IndependentEvaluator:
                     break
 
     def decompose(self, cycle_mask: int) -> int:
+        coeffs = self._coeffs.get(cycle_mask)
+        if coeffs is not None:
+            return coeffs
         mask, coeffs = cycle_mask, 0
         while mask:
             top = mask.bit_length() - 1
@@ -559,6 +586,7 @@ class _IndependentEvaluator:
             pm, pc = self.piv[top]
             mask ^= pm
             coeffs ^= pc
+        self._coeffs[cycle_mask] = coeffs
         return coeffs
 
     def value(self, values: int, cycle_mask: int) -> int:

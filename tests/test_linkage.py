@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rp3link import (
     AllZero,
@@ -440,3 +443,84 @@ def test_failed_table_raises_again():
 def test_minimality_rules_normalised(k44e):
     assert minimality_scan(k44e, "ab").rules == certify(k44e, "ab").rules == "AB"
     assert minimality_scan(k44e, "ABC").rules == "ACB"
+
+
+def test_multi_window_certificate_pinned():
+    # K6+K331 has dim 19: eight windows of 2^16 at the default window size,
+    # so the high-bit flip and the merge of windows run unshrunk.  Pinned
+    # before cycle bitmaps were cached per window and forced bitmaps
+    # decoded bytewise
+    fam = petersen_family().members
+    cert = certify(fam["K6"].disjoint_union(fam["K331"]))
+    assert cert.dim == 19
+    assert _evidence_sha(cert) == (
+        "29eaf2e9f0411e611121b8aa1359abef17a8c2763de6f2a676f5d19a39625ef5"
+    )
+    assert hashlib.sha256(cert.to_json(include_timing=False).encode()).hexdigest() == (
+        "9293e66f6b1e3786bdfa4e1ef9fb38d1f47cc696666a4905aff60086785bef73"
+    )
+    assert cert.stats == {
+        "cycles": 347, "disjoint_pairs": 29569, "c_conditions": 15, "b_conditions": 7,
+    }
+
+
+@pytest.mark.parametrize("width", [64, 1 << 16])
+def test_write_forced_decodes_every_bit(width):
+    k = width // 16
+    cases = [
+        [0],
+        [7, 8],
+        [8 * k - 1, 8 * k],
+        [width - 1],
+        [0, 7, 8, 8 * k - 1, 8 * k, width - 1],
+        list(range(width)),
+    ]
+    for bits in cases:
+        h = sum(1 << u for u in bits)
+        # the second of two windows, over arrays that already hold a rule
+        rule_of = bytearray([1]) * (2 * width)
+        ev_of = [5] * (2 * width)
+        linkage._write_forced(h, width, rule_of, ev_of, 3, 9)
+        want_rule = bytearray([1]) * (2 * width)
+        want_ev = [5] * (2 * width)
+        for u in bits:
+            want_rule[width + u] = 3
+            want_ev[width + u] = 9
+        assert rule_of == want_rule, bits[:8]
+        assert ev_of == want_ev, bits[:8]
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.sampled_from([7, 6, 5, 4]))
+    pairs = list(itertools.combinations(range(n), 2))
+    # dense first, for K6 and K331 minors; at most n + 9 edges keeps the
+    # dimension at 10 or less
+    dropped = draw(st.sets(st.sampled_from(pairs), min_size=max(0, len(pairs) - n - 9)))
+    return Graph.from_edges(n, [e for e in pairs if e not in dropped])
+
+
+def _first_firing_rule(g, v, ctx):
+    phi = HomologyAssignment(g, v)
+    for rule in (rule_a, rule_c, rule_b):
+        ev = rule(g, phi, ctx)
+        if ev is not None:
+            return ev
+    return None
+
+
+@given(_small_graphs())
+@example(load_fixture("k331"))  # rule B fires
+@example(load_fixture("p7"))
+@example(Graph.complete(6))  # rule C fires
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_single_shot_rules(g):
+    cert = certify(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linkage, "_WINDOW_BITS", 3)
+        split = certify(g)
+    assert split.ctx is cert.ctx
+    for v in range(1 << cert.dim):
+        want = _first_firing_rule(g, v, cert.ctx)
+        assert cert.evidence(v) == want, v
+        assert split.evidence(v) == want, v
