@@ -27,26 +27,8 @@ class CycleSpace:
     def __init__(self, g: Graph):
         self.graph = g
         tree_mask = 0
-        seen = 0
-        for root in range(g.n):
-            if (seen >> root) & 1:
-                continue
-            seen |= 1 << root
-            frontier = [root]
-            while frontier:
-                v = frontier.pop(0)
-                for u in g.neighbors(v):
-                    if not (seen >> u) & 1:
-                        seen |= 1 << u
-                        tree_mask |= 1 << g.edge_index[(v, u) if v < u else (u, v)]
-                        frontier.append(u)
-        self.tree_mask = tree_mask
-        self.nontree = [i for i in range(g.m) if not (tree_mask >> i) & 1]
-        self.dim = len(self.nontree)
-
-        # tree paths to component roots, as edge masks
         parent_edge = [-1] * g.n
-        order: list[int] = []
+        order: list[int] = []  # BFS order: every vertex after its tree parent
         seen = 0
         for root in range(g.n):
             if (seen >> root) & 1:
@@ -57,11 +39,17 @@ class CycleSpace:
                 v = frontier.pop(0)
                 order.append(v)
                 for u in g.neighbors(v):
-                    ei = g.edge_index[(v, u) if v < u else (u, v)]
-                    if (tree_mask >> ei) & 1 and not (seen >> u) & 1:
+                    if not (seen >> u) & 1:
                         seen |= 1 << u
+                        ei = g.edge_index[(v, u) if v < u else (u, v)]
+                        tree_mask |= 1 << ei
                         parent_edge[u] = ei
                         frontier.append(u)
+        self.tree_mask = tree_mask
+        self.nontree = [i for i in range(g.m) if not (tree_mask >> i) & 1]
+        self.dim = len(self.nontree)
+
+        # tree paths to component roots, as edge masks
         path = [0] * g.n
         for v in order:
             ei = parent_edge[v]
@@ -96,13 +84,6 @@ class CycleSpace:
             if (mask >> ei) & 1:
                 sig |= 1 << pos
         return sig
-
-    def member_from_signature(self, sig: int) -> int:
-        mask = 0
-        for pos, ei in enumerate(self.nontree):
-            if (sig >> pos) & 1:
-                mask ^= self.basis[pos]
-        return mask
 
 
 @lru_cache(maxsize=4096)

@@ -30,13 +30,13 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .canon import canonical_form, canonical_graph, orbits
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DimensionExceeded, ModelInvalid
-from .graphs import Graph
+from .graphs import Graph, norm_edge
 from .homology import (
     HomologyAssignment,
     all_simple_cycles,
@@ -49,8 +49,6 @@ from .io_formats import graph_to_g6
 from .minors import MinorModel, enumerate_minor_models, validate_model
 
 _K6 = Graph.complete(6)
-
-RULE_NAMES = {1: "A", 2: "C", 3: "B"}
 
 
 @dataclass(frozen=True)
@@ -264,15 +262,21 @@ class RuleContext:
                         yield key, name, mi, apex
 
 
-_CTX_CACHE: dict[tuple[Graph, Limits], RuleContext] = {}
+@lru_cache(maxsize=64)
+def _cached_context(host: Graph, limits: Limits) -> RuleContext:
+    return RuleContext(host, limits)
 
 
 def rule_context(host: Graph, limits: Limits = DEFAULT_LIMITS) -> RuleContext:
-    ctx = _CTX_CACHE.get((host, limits))
-    if ctx is None:
-        ctx = RuleContext(host, limits)
-        _CTX_CACHE[host, limits] = ctx
-    return ctx
+    """The context of (host, limits), one of the 64 most recently used.
+
+    lru_cache keys on the arguments as passed, so the default is filled in
+    here: rule_context(g) and certify(g) must share one context.
+    """
+    return _cached_context(host, limits)
+
+
+rule_context.cache_clear = _cached_context.cache_clear  # type: ignore[attr-defined]
 
 
 def parse_rules(rules: str) -> str:
@@ -552,17 +556,12 @@ def certify(
 
 
 class _IndependentEvaluator:
-    """Evaluates assignments by decomposing cycles over the fundamental basis
-    with fresh Gaussian elimination (no signature shortcut).  Each cycle is
-    eliminated once per evaluator and its coefficients memoised."""
+    """Decomposes cycles over the fundamental basis with fresh Gaussian
+    elimination (no signature shortcut)."""
 
     def __init__(self, host: Graph):
-        self.host = host
-        cs = cycle_space(host)
-        self.basis = list(cs.basis)
-        self._coeffs: dict[int, int] = {}  # cycle mask -> basis coefficients
         self.piv: dict[int, tuple[int, int]] = {}  # leading edge bit -> (mask, coeffs)
-        for i, b in enumerate(self.basis):
+        for i, b in enumerate(cycle_space(host).basis):
             mask, coeffs = b, 1 << i
             while mask:
                 top = mask.bit_length() - 1
@@ -575,9 +574,6 @@ class _IndependentEvaluator:
                     break
 
     def decompose(self, cycle_mask: int) -> int:
-        coeffs = self._coeffs.get(cycle_mask)
-        if coeffs is not None:
-            return coeffs
         mask, coeffs = cycle_mask, 0
         while mask:
             top = mask.bit_length() - 1
@@ -586,11 +582,7 @@ class _IndependentEvaluator:
             pm, pc = self.piv[top]
             mask ^= pm
             coeffs ^= pc
-        self._coeffs[cycle_mask] = coeffs
         return coeffs
-
-    def value(self, values: int, cycle_mask: int) -> int:
-        return _parity(self.decompose(cycle_mask) & values)
 
 
 def _is_simple_cycle(g: Graph, mask: int) -> bool:
@@ -625,86 +617,124 @@ def _is_simple_cycle(g: Graph, mask: int) -> bool:
     return len(seen) == len(deg)
 
 
-def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -> int:
-    """Re-check every piece of evidence against its invariants.
+def _lifted_vectors(ev: _IndependentEvaluator, model: MinorModel,
+                    pmasks: Iterable[int]) -> tuple[int, ...]:
+    """Coefficient vectors of the lifts of the pattern cycles pmasks.
 
-    Structural objects (cycles, models) are validated once; per-assignment
-    values are recomputed with the independent decomposition evaluator.
-    Raises ModelInvalid on the first failure.
+    Each lift must contract through the branch sets onto its pattern cycle:
+    every host edge lies in one branch tree or is the mapped edge of a
+    pattern edge of the cycle, and every pattern edge of the cycle is hit.
+    """
+    host, pattern = model.host, model.pattern
+    owner = {v: p for p, bs in enumerate(model.branch_sets) for v in bs}
+    trees = [{norm_edge(*e) for e in tree} for tree in model.branch_trees]
+    vectors = []
+    for pmask in pmasks:
+        hmask = lift(model, pmask)
+        hit = 0
+        for u, v in host.edges_of_mask(hmask):
+            p, q = owner.get(u), owner.get(v)
+            if p is None or q is None:
+                raise ModelInvalid("lifted cycle leaves the branch sets")
+            if p == q:
+                if (u, v) not in trees[p]:
+                    raise ModelInvalid("lifted cycle leaves a branch tree")
+                continue
+            k = pattern.edge_index.get(norm_edge(p, q))
+            if k is None or norm_edge(*model.edge_map[k]) != (u, v):
+                raise ModelInvalid("lifted cycle joins branch sets off the mapped edges")
+            hit |= 1 << k
+        if hit != pmask:
+            raise ModelInvalid("lifted cycle does not contract onto its pattern cycle")
+        vectors.append(ev.decompose(hmask))
+    return tuple(vectors)
+
+
+# the patterns are the family members, so each code is computed once
+_pattern_code = lru_cache(maxsize=16)(canonical_form)
+
+
+def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
+                    evidence) -> tuple[tuple[int, ...], int, str]:
+    """Check one piece of evidence and return what it claims of every
+    assignment that cites it: (coefficient vectors, wanted parity, message).
+
+    Rule A: two simple vertex-disjoint cycles, both 1-homologous.  Rules C
+    and B: a valid model of K6 (C) or of the named Petersen-family member
+    (B) whose lifted pattern cycles are 0-homologous: the four triangles
+    of the quad (C), or a cycle basis of the member minus the apex (B).
+    """
+    if isinstance(evidence, RuleAEvidence):
+        c1, c2 = evidence.cycle1, evidence.cycle2
+        if not (_is_simple_cycle(g, c1) and _is_simple_cycle(g, c2)):
+            raise ModelInvalid("rule A evidence is not a pair of simple cycles")
+        if cycle_vertices(g, c1) & cycle_vertices(g, c2):
+            raise ModelInvalid("rule A cycles share a vertex")
+        vectors = (ev.decompose(c1), ev.decompose(c2))
+        return vectors, 1, "rule A cycles not both 1-homologous"
+    model = evidence.model
+    validate_model(model)
+    if model.host != g:
+        raise ModelInvalid("model host differs from the certified graph")
+    member = model.pattern
+    if isinstance(evidence, RuleCEvidence):
+        quad = evidence.quad
+        if _pattern_code(member) != _pattern_code(_K6):
+            raise ModelInvalid("rule C pattern is not K6")
+        if len(set(quad) & set(range(6))) != 4:
+            raise ModelInvalid("rule C quad must name four branch vertices")
+        pmasks = [
+            _pattern_edge_mask(member, [(a, b), (a, c), (b, c)])
+            for a, b, c in itertools.combinations(quad, 3)
+        ]
+        return _lifted_vectors(ev, model, pmasks), 0, "rule C triangle not 0-homologous"
+    from .families import petersen_family
+
+    name, apex = evidence.member, evidence.apex
+    expected = petersen_family().members.get(name)
+    if expected is None or _pattern_code(member) != _pattern_code(expected):
+        raise ModelInvalid(f"rule B pattern is not {name}")
+    if not (0 <= apex < member.n):
+        raise ModelInvalid("rule B apex outside pattern")
+    sub = member.delete_vertex(apex)
+    pmasks = [
+        _pattern_edge_mask(
+            member,
+            [(a + (a >= apex), b + (b >= apex)) for a, b in sub.edges_of_mask(bmask)],
+        )
+        for bmask in cycle_space(sub).basis
+    ]
+    return _lifted_vectors(ev, model, pmasks), 0, "rule B basis cycle not 0-homologous"
+
+
+def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -> int:
+    """Re-check every forced assignment (or those in sample) against its
+    evidence; return the number checked.
+
+    Each distinct piece of evidence, as `Certificate.evidence` gives it, is
+    checked once by `_evidence_claim`: its structure (simple disjoint
+    cycles; a valid model of the right pattern, whose lifted cycles
+    contract onto their pattern cycles) and the coefficient vectors of its
+    cycles, found by fresh elimination over the fundamental basis (no
+    signature shortcut).  Every assignment citing it must then give each
+    vector the wanted parity.  Raises ModelInvalid on the first failure.
     """
     g = cert.graph
     ev = _IndependentEvaluator(g)
-    ctx = cert.ctx
-    checked_structs: set[tuple[int, int]] = set()
-
-    fam_codes: dict[str, bytes] = {}
-
-    def check_structure(rule: int, idx: int) -> None:
-        if (rule, idx) in checked_structs:
-            return
-        checked_structs.add((rule, idx))
-        if rule == 1:
-            i, j = ctx.pairs[idx]
-            c1, c2 = ctx.cycles[i], ctx.cycles[j]
-            if not (_is_simple_cycle(g, c1) and _is_simple_cycle(g, c2)):
-                raise ModelInvalid("rule A evidence is not a pair of simple cycles")
-            if cycle_vertices(g, c1) & cycle_vertices(g, c2):
-                raise ModelInvalid("rule A cycles share a vertex")
-        elif rule == 2:
-            _, mi, quad = ctx.c_conditions[idx]
-            model = ctx.c_models[mi]
-            validate_model(model)
-            if canonical_form(model.pattern) != canonical_form(_K6):
-                raise ModelInvalid("rule C pattern is not K6")
-            if len(set(quad)) != 4:
-                raise ModelInvalid("rule C quad must name four branch vertices")
-        elif rule == 3:
-            _, name, mi, apex = ctx.b_conditions[idx]
-            model = ctx.b_models[name][mi]
-            validate_model(model)
-            if name not in fam_codes:
-                from .families import petersen_family
-
-                fam_codes.update(
-                    {n: canonical_form(m) for n, m in petersen_family().members.items()}
-                )
-            if canonical_form(model.pattern) != fam_codes[name]:
-                raise ModelInvalid(f"rule B pattern is not {name}")
-            if not (0 <= apex < model.pattern.n):
-                raise ModelInvalid("rule B apex outside pattern")
-
-    assignments = sample if sample is not None else range(1 << cert.dim)
+    claims: dict[tuple[int, int], tuple[tuple[int, ...], int, str]] = {}
     checked = 0
-    for v in assignments:
+    for v in sample if sample is not None else range(1 << cert.dim):
         rule = cert.rule_of[v]
-        if rule == 0:
+        if not rule:
             continue
-        idx = cert.ev_of[v]
-        check_structure(rule, idx)
-        if rule == 1:
-            i, j = ctx.pairs[idx]
-            if not (ev.value(v, ctx.cycles[i]) and ev.value(v, ctx.cycles[j])):
-                raise ModelInvalid(f"rule A cycles not both 1-homologous at {v}")
-        elif rule == 2:
-            _, mi, quad = ctx.c_conditions[idx]
-            model = ctx.c_models[mi]
-            for a, b, c in itertools.combinations(quad, 3):
-                pmask = _pattern_edge_mask(_K6, [(a, b), (a, c), (b, c)])
-                if ev.value(v, lift(model, pmask)):
-                    raise ModelInvalid(f"rule C triangle not 0-homologous at {v}")
-        elif rule == 3:
-            _, name, mi, apex = ctx.b_conditions[idx]
-            model = ctx.b_models[name][mi]
-            member = model.pattern
-            sub = member.delete_vertex(apex)
-            for bmask in cycle_space(sub).basis:
-                edges = [
-                    (a + (a >= apex), b + (b >= apex))
-                    for a, b in sub.edges_of_mask(bmask)
-                ]
-                pmask = _pattern_edge_mask(member, edges)
-                if ev.value(v, lift(model, pmask)):
-                    raise ModelInvalid(f"rule B basis cycle not 0-homologous at {v}")
+        key = (rule, cert.ev_of[v])
+        claim = claims.get(key)
+        if claim is None:
+            claim = claims[key] = _evidence_claim(g, ev, cert.evidence(v))
+        vectors, want, message = claim
+        for c in vectors:
+            if (c & v).bit_count() & 1 != want:
+                raise ModelInvalid(f"{message} at {v}")
         checked += 1
     return checked
 

@@ -225,7 +225,6 @@ def enumerate_minor_models(
     host: Graph,
     pattern: Graph,
     limits: Limits = DEFAULT_LIMITS,
-    first_only: bool = False,
 ) -> Iterator[MinorModel]:
     """Every model of pattern inside host, in backtracking order.
 
@@ -239,12 +238,10 @@ def enumerate_minor_models(
         return
     if _absent_by_separation(host, pattern, limits):
         return
-    yield from _backtrack_models(host, pattern, first_only)
+    yield from _backtrack_models(host, pattern)
 
 
-def _backtrack_models(
-    host: Graph, pattern: Graph, first_only: bool = False
-) -> Iterator[MinorModel]:
+def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
     """Backtracking enumeration of models of pattern inside host.
 
     Pattern vertices are placed in decreasing-degree order; branch sets are
@@ -406,19 +403,10 @@ def _backtrack_models(
             choices.append(cands)
         if not ok:
             continue
-        if first_only:
-            combos: Iterator = iter([tuple(c[0] for c in choices)])
-        else:
-            combos = itertools.product(*choices)
-        for emap in combos:
-            model = MinorModel(host, pattern, sets, trees, tuple(emap))
-            yield model
-            if first_only:
-                return
+        for emap in itertools.product(*choices):
+            yield MinorModel(host, pattern, sets, trees, emap)
 
 
 def is_minor(h: Graph, g: Graph, limits: Limits = DEFAULT_LIMITS) -> MinorModel | None:
     """Witness model when h <= g, else None."""
-    for model in enumerate_minor_models(g, h, limits=limits, first_only=True):
-        return model
-    return None
+    return next(enumerate_minor_models(g, h, limits), None)

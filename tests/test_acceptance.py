@@ -255,13 +255,13 @@ def test_criterion_12_reconciliation():
 # -- 13. determinism --------------------------------------------------------------------------
 
 
-def test_criterion_13_determinism(monkeypatch):
+def test_criterion_13_determinism():
     tf = therefore_family()
     g = next(g for n1, n2, i, g in tf.gluings if (n1, n2, i) == ("K6t", "K6t", 1))
     docs = []
     for cold in (True, False, True):
         if cold:
-            monkeypatch.setattr(linkage, "_CTX_CACHE", {})
+            linkage.rule_context.cache_clear()
         cert = certify(g, rules="ABC")
         docs.append(cert.to_json(include_timing=False))
     assert docs[0] == docs[1] == docs[2]

@@ -187,7 +187,7 @@ def test_k32_parity():
 
 
 def test_pullback_identity(k33):
-    model = next(enumerate_minor_models(k33, k33, first_only=True))
+    model = next(enumerate_minor_models(k33, k33))
     for v in range(16):
         phi = HomologyAssignment(k33, v)
         assert pullback(phi, model).values == v

@@ -37,6 +37,7 @@ from rp3link import linkage
 from rp3link.config import Limits
 from rp3link.errors import DimensionExceeded, SizeExceeded
 from rp3link.homology import cycle_vertices
+from rp3link.minors import MinorModel
 
 from conftest import brute_force_automorphisms
 
@@ -272,6 +273,103 @@ def test_certificate_verification_catches_tampering(k44e):
         cert.ev_of[target] = original
 
 
+@pytest.mark.parametrize("graph, rules, code", [("k7_2adj", "ABC", 2), ("k44e", "AB", 3)])
+def test_certificate_verification_catches_tampered_model_evidence(graph, rules, code, request):
+    from rp3link.errors import ModelInvalid
+
+    cert = certify(request.getfixturevalue(graph), rules=rules)
+    table = cert.ctx.c_conditions if code == 2 else cert.ctx.b_conditions
+    # point a C- (B-) forced assignment at a condition that does not vanish
+    # there (every condition vanishes at assignment 0)
+    v = cert.rule_of.index(code, 1)
+    bad = next(
+        cid for cid in range(len(table))
+        if any((r & v).bit_count() & 1 for r in table[cid][0])
+    )
+    original = cert.ev_of[v]
+    cert.ev_of[v] = bad
+    try:
+        with pytest.raises(ModelInvalid, match="not 0-homologous"):
+            verify_certificate(cert, sample=[v])
+    finally:
+        cert.ev_of[v] = original
+    assert verify_certificate(cert, sample=[v]) == 1
+
+
+def test_verifier_checks_that_lifts_contract_onto_their_pattern_cycles(k7_2adj, monkeypatch):
+    from rp3link.errors import ModelInvalid
+
+    cert = certify(k7_2adj)
+    v = cert.rule_of.index(2)
+    forced = [u for u in range(1 << cert.dim)
+              if cert.rule_of[u] == 2 and cert.ev_of[u] == cert.ev_of[v]]
+    quad = cert.evidence(v).quad
+    k6 = Graph.complete(6)
+    # another triangle of the same quad: it is 0-homologous at every
+    # assignment citing this evidence, so only the contraction check can
+    # tell the altered lifts from the true ones
+    other = k6.edge_mask(itertools.combinations(quad[:3], 2))
+    real_lift = linkage.lift
+    monkeypatch.setattr(
+        linkage, "lift", lambda model, pmask: real_lift(model, pmask) ^ real_lift(model, other)
+    )
+    with pytest.raises(ModelInvalid, match="does not contract onto its pattern cycle"):
+        verify_certificate(cert, sample=forced)
+
+
+def _blown_up_k6_model() -> MinorModel:
+    """A K6 model whose branch set of pattern vertex 0 is the triangle
+    {0, 6, 7} (tree 0-6, 0-7), with a second host edge 1-6 between the
+    branch sets of 0 and 1, and a host vertex 8 in no branch set."""
+    k6 = Graph.complete(6)
+    to_host = {(0, 3): (3, 6), (0, 4): (4, 6), (0, 5): (5, 7)}
+    edge_map = tuple(to_host.get(e, e) for e in k6.edges)
+    host = Graph.from_edges(9, [*edge_map, (0, 6), (0, 7), (6, 7), (1, 6), (1, 8), (2, 8)])
+    sets = ((0, 6, 7),) + tuple((v,) for v in range(1, 6))
+    trees = (((0, 6), (0, 7)),) + ((),) * 5
+    return MinorModel(host, k6, sets, trees, edge_map)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # crosses from set 0 to set 1 on 1-6, not on the mapped edge 0-1
+        ([(0, 1), (1, 6)], "off the mapped edges"),
+        # a cycle inside set 0 through its non-tree edge 6-7
+        ([(0, 6), (0, 7), (6, 7)], "leaves a branch tree"),
+        ([(1, 2), (1, 8), (2, 8)], "leaves the branch sets"),
+    ],
+)
+def test_verifier_checks_that_lifts_stay_on_the_model(extra, message, monkeypatch):
+    from rp3link.errors import ModelInvalid
+
+    model = _blown_up_k6_model()
+    g = model.host
+    evidence = RuleCEvidence(model, (0, 1, 2, 3))
+
+    def claim():
+        return linkage._evidence_claim(g, linkage._IndependentEvaluator(g), evidence)
+
+    vectors, want, _ = claim()
+    assert (len(vectors), want) == (4, 0)
+    mask = g.edge_mask(extra)
+    real_lift = linkage.lift
+    monkeypatch.setattr(linkage, "lift", lambda m, pmask: real_lift(m, pmask) ^ mask)
+    with pytest.raises(ModelInvalid, match=message):
+        claim()
+
+
+def test_context_cache_is_shared_and_bounded(cold_contexts):
+    g = Graph.complete(4)
+    # the benchmark's worker warms rule_context(g) and expects certify to reuse it
+    assert certify(g).ctx is rule_context(g) is rule_context(g, Limits())
+    keys = [Limits(max_cycles=1000 + i) for i in range(65)]
+    contexts = [rule_context(g, lim) for lim in keys]
+    # a minimality scan re-certifies up to 18 minors on warm contexts
+    assert all(rule_context(g, lim) is ctx for lim, ctx in zip(keys[-18:], contexts[-18:]))
+    assert rule_context(g, keys[0]) is not contexts[0]
+
+
 @pytest.mark.parametrize("rules", ["", "XYZ", "ABX", "A B"])
 def test_bad_rule_strings_rejected(k44e, rules):
     with pytest.raises(ValueError, match="rule string"):
@@ -373,9 +471,9 @@ def test_evidence_pinned(name):
 
 
 @pytest.fixture
-def cold_contexts(monkeypatch):
+def cold_contexts():
     """An empty context cache for one test."""
-    monkeypatch.setattr(linkage, "_CTX_CACHE", {})
+    linkage.rule_context.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["K6(01)+K331(02)", "K7-2adj"])
