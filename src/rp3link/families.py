@@ -78,13 +78,6 @@ class PetersenFamily:
     def projective_planar(self) -> dict[str, Graph]:
         return {k: v for k, v in self.members.items() if k != "K44-e"}
 
-    def name_of(self, g: Graph) -> str | None:
-        code = canonical_form(g)
-        for name, member in self.members.items():
-            if canonical_form(member) == code:
-                return name
-        return None
-
 
 def _exchange_closure(start: Graph) -> list[Graph]:
     seen: dict[bytes, Graph] = {canonical_form(start): start}

@@ -9,14 +9,13 @@ the cycle's non-tree edges.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DimensionExceeded, NotACycle, SizeExceeded
-from .graphs import Graph
+from .graphs import Graph, norm_edge
 from .io_formats import graph_to_g6
 from .minors import MinorModel, validate_model
 
@@ -57,7 +56,6 @@ class CycleSpace:
                 a, b = g.edges[ei]
                 up = a if b == v else b
                 path[v] = path[up] ^ (1 << ei)
-        self.root_path = path
 
         basis = []
         for ei in self.nontree:
@@ -216,74 +214,49 @@ def restrict(phi: HomologyAssignment, vertices) -> tuple[Graph, HomologyAssignme
 # -- lifting along minor models ---------------------------------------------
 
 
-def _tree_join(host: Graph, tree_edges: tuple, odd_vertices: int) -> int:
-    """Edge set inside a tree whose odd-degree vertices are exactly the given set."""
-    if not odd_vertices:
-        return 0
-    # root the tree at its smallest vertex; xor root paths of odd vertices
-    verts = set()
-    adj: dict[int, list[tuple[int, int]]] = {}
-    eidx = host.edge_index
-    for u, v in tree_edges:
-        verts.update((u, v))
-        adj.setdefault(u, []).append((v, eidx[(u, v) if u < v else (v, u)]))
-        adj.setdefault(v, []).append((u, eidx[(u, v) if u < v else (v, u)]))
-    if not verts:
-        raise NotACycle("attachment points outside a single-vertex branch set")
-    root = min(verts)
-    path = {root: 0}
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        for u, ei in adj.get(v, ()):
-            if u not in path:
-                path[u] = path[v] ^ (1 << ei)
-                frontier.append(u)
-    join = 0
-    m = odd_vertices
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
-        join ^= path[v]
-        m ^= lsb
-    return join
+def edge_lifts(model: MinorModel) -> tuple[int, ...]:
+    """Host edge mask of each pattern edge, in pattern.edges order.
+
+    The entry of pattern edge pq is its mapped host edge plus, inside the
+    branch trees of p and q, the tree path from the set's root (its
+    smallest vertex) to the end of the mapped edge.
+    """
+    eidx = model.host.edge_index
+    path: dict[int, int] = {}  # branch vertex -> tree path from its set's root
+    for bs, tree in zip(model.branch_sets, model.branch_trees):
+        root = min(bs)
+        path[root] = 0
+        adj: dict[int, list[int]] = {}
+        for u, v in tree:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            for u in adj.get(v, ()):
+                if u not in path:
+                    path[u] = path[v] ^ (1 << eidx[norm_edge(u, v)])
+                    frontier.append(u)
+    return tuple(
+        (1 << eidx[norm_edge(hu, hv)]) ^ path[hu] ^ path[hv] for hu, hv in model.edge_map
+    )
 
 
 def lift(model: MinorModel, pattern_mask: int) -> int:
     """Host edge mask realizing a pattern cycle-space member through the model.
 
-    Mapped branch edges are taken verbatim; inside every branch tree the
-    unique T-join closing off the attachment parities is added.  The map is
-    GF(2)-linear in the pattern cycle.
+    The XOR of the edge lifts over the member's edges: every pattern vertex
+    has even degree, so inside each branch tree the root paths pair up into
+    the tree edges joining the attachment points.  The map is GF(2)-linear.
+    Raises NotACycle when some pattern vertex has odd degree.
     """
-    host = model.host
-    pattern = model.pattern
-    hmask = 0
-    attach = [0] * pattern.n  # odd-degree demand inside each branch set
-    m = pattern_mask
-    while m:
-        lsb = m & -m
-        pi = lsb.bit_length() - 1
-        m ^= lsb
-        pu, pv = pattern.edges[pi]
-        hu, hv = model.edge_map[pi]
-        hmask ^= 1 << host.edge_index[(hu, hv) if hu < hv else (hv, hu)]
-        # endpoint in branch set of pu vs pv
-        set_u = set(model.branch_sets[pu])
-        if hu in set_u:
-            attach[pu] ^= 1 << hu
-            attach[pv] ^= 1 << hv
-        else:
-            attach[pu] ^= 1 << hv
-            attach[pv] ^= 1 << hu
-    for p in range(pattern.n):
-        if attach[p]:
-            if len(model.branch_sets[p]) == 1:
-                # single vertex: parity demand must cancel by itself
-                if attach[p].bit_count() % 2:
-                    raise NotACycle("odd attachment parity at singleton branch set")
-                continue
-            hmask ^= _tree_join(host, model.branch_trees[p], attach[p])
+    odd = hmask = 0
+    for pi, ((pu, pv), h) in enumerate(zip(model.pattern.edges, edge_lifts(model))):
+        if pattern_mask >> pi & 1:
+            odd ^= (1 << pu) ^ (1 << pv)
+            hmask ^= h
+    if odd:
+        raise NotACycle("pattern edge set has an odd-degree vertex")
     return hmask
 
 

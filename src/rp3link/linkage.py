@@ -14,6 +14,15 @@ into real projective 3-space, so CERTIFIED graphs are intrinsically
 linked there.  UNDECIDED is not a non-linking proof: the enumeration
 over-approximates the embedding-realizable assignments.
 
+Rules C and B state one kind of condition: a model of a family member
+(K6 for C) and a set of its vertices, a quad for C and every vertex but
+the apex for B, whose induced subgraph pulls back to zero.  One generator,
+`RuleContext._conditions`, builds both tables: lifts are GF(2)-linear, so
+each model's pattern edges are lifted (`edge_lifts`) and reduced to
+signatures once, and a cycle of the kept subgraph pulls back to the XOR
+of its edges' signatures.  `verify_certificate` keeps its own statement
+of both rules and lifts every cycle afresh.
+
 Assignments are swept in windows of up to 2^16 indices held as bitmap
 integers (bit u = assignment u of the window); the parity of ``v & r``
 over a window is a Walsh pattern, so every rule reduces to a few big-int
@@ -43,6 +52,7 @@ from .homology import (
     assignment_to_serial,
     cycle_space,
     cycle_vertices,
+    edge_lifts,
     lift,
 )
 from .io_formats import graph_to_g6
@@ -90,13 +100,6 @@ def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
             if other != top and (piv[other] >> top) & 1:
                 piv[other] ^= piv[top]
     return tuple(sorted(piv.values(), reverse=True))
-
-
-def _pattern_edge_mask(g: Graph, edges) -> int:
-    mask = 0
-    for u, v in edges:
-        mask |= 1 << g.edge_index[(u, v) if u < v else (v, u)]
-    return mask
 
 
 class _OnDemand:
@@ -171,10 +174,11 @@ class RuleContext:
         self.cycle_sigs = tuple(self.cs.signature(c) for c in cyc)
         self.cycle_verts = tuple(cycle_vertices(host, c) for c in cyc)
         self.c_models = _OnDemand(enumerate_minor_models(host, _K6, limits=limits))
-        # deduped (vectors, model index, quad) conditions in search order
-        self.c_conditions = _OnDemand(self._c_condition_stream())
+        quads = [(quad, quad) for quad in itertools.combinations(range(6), 4)]
+        # deduped (vectors, "K6", model index, quad) conditions in search order
+        self.c_conditions = _OnDemand(self._conditions([("K6", _K6, self.c_models, quads)]))
         # deduped (vectors, member, model index, apex) in search order
-        self.b_conditions = _OnDemand(self._b_condition_stream())
+        self.b_conditions = _OnDemand(self._conditions(self._b_jobs()))
 
     # -- rule A ---------------------------------------------------------------
 
@@ -197,27 +201,7 @@ class RuleContext:
         )
         return pairs
 
-    # -- rule C ---------------------------------------------------------------
-
-    def _c_condition_stream(self) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
-        seen: set[tuple[int, ...]] = set()
-        for mi, model in enumerate(self.c_models):
-            for quad in itertools.combinations(range(6), 4):
-                tris = [
-                    (quad[0], quad[1], quad[2]),
-                    (quad[0], quad[1], quad[3]),
-                    (quad[0], quad[2], quad[3]),
-                ]
-                sigs = []
-                for a, b, c in tris:
-                    pmask = _pattern_edge_mask(_K6, [(a, b), (a, c), (b, c)])
-                    sigs.append(self.cs.signature(lift(model, pmask)))
-                key = _rref(sigs)
-                if key not in seen:
-                    seen.add(key)
-                    yield key, mi, quad
-
-    # -- rule B ---------------------------------------------------------------
+    # -- rules C and B -----------------------------------------------------------
 
     @cached_property
     def b_models(self) -> dict[str, _OnDemand]:
@@ -233,33 +217,68 @@ class RuleContext:
             if g.n <= self.host.n and g.m <= self.host.m
         }
 
-    def _b_condition_stream(self) -> Iterator[tuple[tuple[int, ...], str, int, int]]:
-        seen: set[tuple[int, ...]] = set()
+    def _b_jobs(self) -> Iterator[tuple[str, Graph, _OnDemand, list]]:
+        from .families import petersen_family
+
+        members = petersen_family().members
         for name, models in self.b_models.items():
-            if not models:
-                continue
-            member = models[0].pattern
-            apex_basis: dict[int, list[int]] = {}
-            for apex in range(member.n):
-                sub = member.delete_vertex(apex)
-                masks = []
-                for bmask in cycle_space(sub).basis:
-                    edges = [
-                        (a + (a >= apex), b + (b >= apex))
-                        for a, b in sub.edges_of_mask(bmask)
-                    ]
-                    masks.append(_pattern_edge_mask(member, edges))
-                apex_basis[apex] = masks
+            member = members[name]
+            yield name, member, models, [
+                (apex, [v for v in range(member.n) if v != apex])
+                for apex in range(member.n)
+            ]
+
+    def _conditions(self, jobs) -> Iterator[tuple[tuple[int, ...], str, int, tuple | int]]:
+        """Deduplicated (vectors, member, model index, label) conditions.
+
+        jobs yields (member name, member, models, [(label, kept), ...]): a
+        condition says that the subgraph of the member induced on the kept
+        vertices pulls back to zero through the model.  Its vectors are the
+        `_rref` of the signatures of the lifts of a cycle basis of that
+        subgraph; lift is linear, so each is the XOR of the signatures of
+        the edge lifts along its cycle, computed once per model.
+        """
+        seen: set[tuple[int, ...]] = set()
+        for name, member, models, kept_sets in jobs:
+            bases = [_kept_basis(member, kept) for _, kept in kept_sets]
             for mi, model in enumerate(models):
-                for apex in range(member.n):
-                    sigs = [
-                        self.cs.signature(lift(model, pmask))
-                        for pmask in apex_basis[apex]
-                    ]
-                    key = _rref(sigs)
+                sigs = [self.cs.signature(e) for e in edge_lifts(model)]
+                for (label, _), basis in zip(kept_sets, bases):
+                    vecs = []
+                    for cycle in basis:
+                        x = 0
+                        for pi in cycle:
+                            x ^= sigs[pi]
+                        vecs.append(x)
+                    key = _rref(vecs)
                     if key not in seen:
                         seen.add(key)
-                        yield key, name, mi, apex
+                        yield key, name, mi, label
+
+    def conditions(self, code: int) -> _OnDemand:
+        """The condition table of rule C (code 2) or B (code 3)."""
+        return self.c_conditions if code == 2 else self.b_conditions
+
+    def evidence(self, code: int, idx: int):
+        """The evidence behind entry idx of a rule's table: a rule-A pair
+        (code 1), a C condition (2) or a B condition (3)."""
+        if code == 1:
+            i, j = self.pairs[idx]
+            return RuleAEvidence(self.cycles[i], self.cycles[j])
+        _, name, mi, label = self.conditions(code)[idx]
+        if code == 2:
+            return RuleCEvidence(self.c_models[mi], label)
+        return RuleBEvidence(name, self.b_models[name][mi], label)
+
+
+def _kept_basis(member: Graph, kept: list[int]) -> list[list[int]]:
+    """A cycle basis of the subgraph of member induced on kept, each cycle
+    as the indices of its member edges."""
+    sub = member.induced_subgraph(kept)
+    return [
+        [member.edge_index[(kept[a], kept[b])] for a, b in sub.edges_of_mask(bmask)]
+        for bmask in cycle_space(sub).basis
+    ]
 
 
 @lru_cache(maxsize=64)
@@ -297,30 +316,28 @@ def rule_a(g: Graph, phi: HomologyAssignment, ctx: RuleContext | None = None):
     """Two vertex-disjoint 1-homologous cycles, shortest pair first."""
     ctx = ctx or rule_context(g)
     v = phi.values
-    for i, j in ctx.pairs:
+    for pid, (i, j) in enumerate(ctx.pairs):
         if _parity(v & ctx.cycle_sigs[i]) and _parity(v & ctx.cycle_sigs[j]):
-            return RuleAEvidence(ctx.cycles[i], ctx.cycles[j])
+            return ctx.evidence(1, pid)
+    return None
+
+
+def _first_vanishing(ctx: RuleContext, code: int, phi: HomologyAssignment):
+    v = phi.values
+    for idx, cond in enumerate(ctx.conditions(code)):
+        if not any(_parity(v & r) for r in cond[0]):
+            return ctx.evidence(code, idx)
     return None
 
 
 def rule_c(g: Graph, phi: HomologyAssignment, ctx: RuleContext | None = None):
     """A K6 minor whose induced K4 on some branch quad pulls back to zero."""
-    ctx = ctx or rule_context(g)
-    v = phi.values
-    for vecs, mi, quad in ctx.c_conditions:
-        if all(not _parity(v & r) for r in vecs):
-            return RuleCEvidence(ctx.c_models[mi], quad)
-    return None
+    return _first_vanishing(ctx or rule_context(g), 2, phi)
 
 
 def rule_b(g: Graph, phi: HomologyAssignment, ctx: RuleContext | None = None):
     """A Petersen-family minor with an apex whose complement pulls back to zero."""
-    ctx = ctx or rule_context(g)
-    v = phi.values
-    for vecs, name, mi, apex in ctx.b_conditions:
-        if all(not _parity(v & r) for r in vecs):
-            return RuleBEvidence(name, ctx.b_models[name][mi], apex)
-    return None
+    return _first_vanishing(ctx or rule_context(g), 3, phi)
 
 
 # -- windowed sweep -----------------------------------------------------------
@@ -421,12 +438,10 @@ class _Sweeper:
                     if not undec:
                         break
         examined = [0, 0]
-        for k, (rule, code, table) in enumerate(
-            (("C", 2, ctx.c_conditions), ("B", 3, ctx.b_conditions))
-        ):
+        for k, (rule, code) in enumerate((("C", 2), ("B", 3))):
             if rule not in self.rules or not undec:
                 continue
-            for cid, cond in enumerate(table):
+            for cid, cond in enumerate(ctx.conditions(code)):
                 examined[k] = cid + 1
                 h = undec
                 for r in cond[0]:
@@ -460,18 +475,7 @@ class Certificate:
 
     def evidence(self, assignment: int):
         rule = self.rule_of[assignment]
-        idx = self.ev_of[assignment]
-        ctx = self.ctx
-        if rule == 1:
-            i, j = ctx.pairs[idx]
-            return RuleAEvidence(ctx.cycles[i], ctx.cycles[j])
-        if rule == 2:
-            _, mi, quad = ctx.c_conditions[idx]
-            return RuleCEvidence(ctx.c_models[mi], quad)
-        if rule == 3:
-            _, name, mi, apex = ctx.b_conditions[idx]
-            return RuleBEvidence(name, ctx.b_models[name][mi], apex)
-        return None
+        return self.ctx.evidence(rule, self.ev_of[assignment]) if rule else None
 
     def unforced_serials(self) -> list[str]:
         return [
@@ -498,10 +502,6 @@ class Certificate:
         return json.dumps(self.report_dict(include_timing), sort_keys=True,
                           separators=(",", ":")) + "\n"
 
-    def verify(self, sample: Iterable[int] | None = None) -> int:
-        """Re-validate evidence from scratch; returns the number checked."""
-        return verify_certificate(self, sample)
-
 
 def certify(
     g: Graph,
@@ -511,9 +511,12 @@ def certify(
     """Sweep all 2^dim assignments, attaching evidence in A, C, B order."""
     rules = parse_rules(rules)
     t0 = time.perf_counter()
+    # before rule_context enumerates the simple cycles, which a graph over
+    # the cap can have too many of
+    dim = cycle_space(g).dim
+    if dim > limits.max_dim:
+        raise DimensionExceeded(f"dimension {dim} exceeds cap {limits.max_dim}")
     ctx = rule_context(g, limits)
-    if ctx.dim > limits.max_dim:
-        raise DimensionExceeded(f"dimension {ctx.dim} exceeds cap {limits.max_dim}")
     sweeper = _Sweeper(ctx, rules)
     total = 1 << ctx.dim
     rule_of = bytearray(total)
@@ -684,7 +687,7 @@ def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
         if len(set(quad) & set(range(6))) != 4:
             raise ModelInvalid("rule C quad must name four branch vertices")
         pmasks = [
-            _pattern_edge_mask(member, [(a, b), (a, c), (b, c)])
+            member.edge_mask([(a, b), (a, c), (b, c)])
             for a, b, c in itertools.combinations(quad, 3)
         ]
         return _lifted_vectors(ev, model, pmasks), 0, "rule C triangle not 0-homologous"
@@ -698,9 +701,8 @@ def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
         raise ModelInvalid("rule B apex outside pattern")
     sub = member.delete_vertex(apex)
     pmasks = [
-        _pattern_edge_mask(
-            member,
-            [(a + (a >= apex), b + (b >= apex)) for a, b in sub.edges_of_mask(bmask)],
+        member.edge_mask(
+            (a + (a >= apex), b + (b >= apex)) for a, b in sub.edges_of_mask(bmask)
         )
         for bmask in cycle_space(sub).basis
     ]

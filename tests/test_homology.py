@@ -23,10 +23,12 @@ from rp3link import (
 )
 from rp3link.config import Limits
 from rp3link.errors import DimensionExceeded, NotACycle
+from rp3link.graphs import norm_edge
 from rp3link.homology import cycle_vertices
 from rp3link.minors import enumerate_minor_models
 
 from conftest import random_graph
+from test_linkage import _blown_up_k6_model
 
 
 def _hamiltonian_cycle_count(g: Graph, verts: tuple[int, ...]) -> int:
@@ -217,6 +219,55 @@ def test_contraction_lift_preserves_value():
         for c in all_simple_cycles(pattern):
             lifted = lift(model, c)
             assert evaluate(pb, c) == evaluate(phi, lifted)
+
+
+_CUBE = Graph.from_edges(8, [(u, u | b) for u in range(8) for b in (1, 2, 4) if not u & b])
+
+
+def _models_with_big_sets(hosts):
+    """Up to 20 models per (host, pattern) with a branch set of 2+ vertices."""
+    out = [_blown_up_k6_model()]
+    for host, pattern in hosts:
+        models = itertools.islice(enumerate_minor_models(host, pattern), 400)
+        out += [m for m in models if any(len(bs) > 1 for bs in m.branch_sets)][:20]
+    return out
+
+
+def test_lift_is_the_unique_contraction_preimage(k7_2nonadj, k6, k44e, k33):
+    # an even host subgraph whose edges between branch sets are the mapped
+    # edges of c and whose other edges lie in the branch trees is unique:
+    # two of them differ by an even subgraph of a forest
+    models = _models_with_big_sets(
+        [(_CUBE, Graph.complete(4)), (k7_2nonadj, k6), (k44e, k33)]
+    )
+    assert {2, 3, 4} <= {max(len(bs) for bs in m.branch_sets) for m in models}
+    for model in models:
+        host = model.host
+        owner = {v: p for p, bs in enumerate(model.branch_sets) for v in bs}
+        trees = {norm_edge(*e) for tree in model.branch_trees for e in tree}
+        for c in all_simple_cycles(model.pattern):
+            edges = host.edges_of_mask(lift(model, c))
+            deg = [0] * host.n
+            for u, v in edges:
+                deg[u] += 1
+                deg[v] += 1
+            assert all(d % 2 == 0 for d in deg)
+            between = {e for e in edges if owner.get(e[0], -1) != owner.get(e[1], -2)}
+            mapped = {norm_edge(*model.edge_map[k]) for k in range(model.pattern.m) if c >> k & 1}
+            assert between == mapped
+            assert set(edges) - between <= trees
+
+
+def test_lift_rejects_a_single_edge():
+    # every branch set of these K4 models has two vertices, so no end of
+    # the edge is a singleton set
+    models = [m for m in enumerate_minor_models(_CUBE, Graph.complete(4))
+              if all(len(bs) == 2 for bs in m.branch_sets)]
+    assert models
+    for model in models[:5]:
+        for k in range(model.pattern.m):
+            with pytest.raises(NotACycle):
+                lift(model, 1 << k)
 
 
 def test_pullback_linearity(k7_2nonadj, k6):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -148,6 +149,49 @@ def test_cli_certify_json_stable(capsys):
     doc = json.loads(outs[0])
     assert doc["verdict"] == "CERTIFIED"
     assert doc["dim"] == 8
+
+
+# sha256 of the stdout of `rp3link --format json certify <fixture> --no-timing`
+# for every bundled fixture, pinned before lifts were made linear and the
+# rule-C and rule-B conditions came from one stream
+_CLI_CERTIFY_SHA = {
+    "k331": "dfd6c131cdb1709249663bf093c4ead07bcb18640100a366ae70faece9ea0906",
+    "k44_minus_e": "4163e3111d5f289763dfda8be85be72d4fa403ac194dff33f92552c53ceab27d",
+    "k6": "616e35e5e068453a3dfac0ccdf080ea9b22b58ae288db4d029d93a6505d85eae",
+    "k6_therefore": "b2e930f6d13bcaddfd5f6e3c385de5a53774deb20782bf6ab9b4a7ed017a2277",
+    "k6_therefore_k6": "576d58947066fdb7baac8d7b6513dbfb3b2b0b287bb145b2524bf4418c3b8924",
+    "k7_minus_two_adjacent": "6555ae2ede9ccdf596a5b3ef1a2521011280590097d4cf3981c65d91c662d0b5",
+    "k7_minus_two_nonadjacent": "91935ad7b89d137799d6c44295f97862d86e5e7499bbc09f12a47288dd31972e",
+    "p7": "0b10e36c453736f7480d45aa9e0575570d7a4c2d3b2d81acb002cf242969acca",
+    "p7a_therefore": "2cdf9d7ec0f9c5a9c3aabc98c24993b5d85b96693af0fd98b80ef2c26513f62d",
+    "p7b_therefore": "fcc1c4db46909b79c41b623c227574e31b7e0fb4f511188c3b446923afd7324f",
+    "p8": "028a2ba9a87184da3af3ae7b9766ba77af286d020eebc1d9404a849c1fc5389d",
+    "p8b_therefore": "9c08708ca5d56b59930c54131519c40167291e2a267eeb65aa187ac505f1330f",
+    "p9": "71711b0ebf8da7d8a1b99cc8e7591404ba762ac9eb6c71a8fc0c169ae1cb5a11",
+    "p9b_therefore": "98f368ed72a36c65b642c6d9a2db541980df34307d91265c1eb50617ed7cb9ab",
+    "p9b_therefore_p9b": "71dee61b88da652cf1373ebe16220d4bf78a847a278fca1185768969789fd232",
+    "petersen": "54f2d023a798ee17df970c439a0c4bf18e107c87dc288308b3f28d0a34b2c5e7",
+}
+# its Petersen-family minor search takes most of a minute
+_SLOW_FIXTURES = {"p9b_therefore_p9b"}
+
+
+def test_every_fixture_is_pinned():
+    data = fixture_path("k6").parent
+    assert {p.stem for p in data.glob("*.txt")} == set(_CLI_CERTIFY_SHA)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.slow) if name in _SLOW_FIXTURES else name
+        for name in sorted(_CLI_CERTIFY_SHA)
+    ],
+)
+def test_cli_certify_json_pinned(name, capsys):
+    assert main(["--format", "json", "certify", str(fixture_path(name)), "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _CLI_CERTIFY_SHA[name]
 
 
 def test_cli_orbits_table_row(capsys):

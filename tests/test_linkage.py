@@ -163,6 +163,12 @@ def test_certify_dimension_cap():
         certify(Graph.complete(9))
 
 
+def test_certify_checks_the_dimension_cap_before_enumerating_cycles():
+    # K10 (dim 36) has more simple cycles than the default cutoff
+    with pytest.raises(DimensionExceeded):
+        certify(Graph.complete(10))
+
+
 def test_engine_matches_single_shot_rules(k7_2adj):
     cert = certify(k7_2adj, rules="ABC")
     ctx = rule_context(k7_2adj)
@@ -429,7 +435,7 @@ def test_certificates_and_conditions_pinned(name):
     cert = certify(g)
     ctx = cert.ctx
     assert hashlib.sha256(cert.to_json(include_timing=False).encode()).hexdigest() == cert_sha
-    assert _sha([key for key, _, _ in ctx.c_conditions]) == c_sha
+    assert _sha([key for key, _, _, _ in ctx.c_conditions]) == c_sha
     assert _sha([key for key, _, _, _ in ctx.b_conditions]) == b_sha
     assert {member: len(ms) for member, ms in ctx.b_models.items()} == models
     assert ctx.b_models["K6"] is ctx.c_models
