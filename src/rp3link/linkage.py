@@ -185,20 +185,28 @@ class RuleContext:
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
         """Vertex-disjoint cycle pairs, shortest total length first."""
-        pairs = []
+        # without[v]: the cycles that avoid vertex v, as a mask of indices
         nc = len(self.cycles)
-        for i in range(nc):
-            vi = self.cycle_verts[i]
-            for j in range(i + 1, nc):
-                if not (vi & self.cycle_verts[j]):
-                    pairs.append((i, j))
-        pairs.sort(
-            key=lambda p: (
-                self.cycles[p[0]].bit_count() + self.cycles[p[1]].bit_count(),
-                p[0],
-                p[1],
-            )
-        )
+        every = (1 << nc) - 1
+        without = [every] * self.host.n
+        for i, verts in enumerate(self.cycle_verts):
+            while verts:
+                lsb = verts & -verts
+                verts ^= lsb
+                without[lsb.bit_length() - 1] ^= 1 << i
+        pairs = []
+        for i, verts in enumerate(self.cycle_verts):
+            partners = every & ~((2 << i) - 1)
+            while verts and partners:
+                lsb = verts & -verts
+                verts ^= lsb
+                partners &= without[lsb.bit_length() - 1]
+            while partners:
+                lsb = partners & -partners
+                partners ^= lsb
+                pairs.append((i, lsb.bit_length() - 1))
+        length = [c.bit_count() for c in self.cycles]
+        pairs.sort(key=lambda p: (length[p[0]] + length[p[1]], p[0], p[1]))
         return pairs
 
     # -- rules C and B -----------------------------------------------------------

@@ -93,52 +93,6 @@ def _bfs_tree(host: Graph, vertices: tuple[int, ...]) -> tuple[Edge, ...]:
     return tuple(tree)
 
 
-def _grow_from_seed(
-    adj: tuple[int, ...], seed: int, allowed: int, max_size: int
-) -> Iterator[int]:
-    """Connected subsets of `allowed` containing `seed`, each exactly once."""
-
-    def grow(subset: int, ext: int, banned: int) -> Iterator[int]:
-        yield subset
-        if subset.bit_count() >= max_size:
-            return
-        e = ext
-        taken = 0
-        while e:
-            lsb = e & -e
-            v = lsb.bit_length() - 1
-            e ^= lsb
-            new_ext = (ext | (adj[v] & allowed)) & ~(subset | lsb) & ~banned & ~taken
-            yield from grow(subset | lsb, new_ext, banned | taken)
-            taken |= lsb
-
-    yield from grow(1 << seed, adj[seed] & allowed & ~(1 << seed), 0)
-
-
-def _connected_subsets(
-    adj: tuple[int, ...], avail: int, max_size: int, anchors: int | None = None
-) -> Iterator[int]:
-    """Connected vertex subsets of the available mask, each exactly once.
-
-    When `anchors` is given, only subsets meeting it are produced (grouped
-    by their smallest contained anchor); otherwise all connected subsets,
-    grouped by minimum vertex.
-    """
-    n = len(adj)
-    seeds = avail if anchors is None else (anchors & avail)
-    s_mask = seeds
-    while s_mask:
-        lsb = s_mask & -s_mask
-        s = lsb.bit_length() - 1
-        s_mask ^= lsb
-        if anchors is None:
-            allowed = avail & ~((1 << s) - 1)
-        else:
-            # exclude smaller anchors so each subset appears once
-            allowed = avail & ~(seeds & ((1 << s) - 1))
-        yield from _grow_from_seed(adj, s, allowed, max_size)
-
-
 @lru_cache(maxsize=256)
 def _pattern_group(pattern: Graph) -> tuple[tuple[int, ...], ...]:
     """Full automorphism group of a small pattern (closure of generators)."""
@@ -325,60 +279,84 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
         cap = 1 + min(extra_v - spent_v, extra_e - spent_e)
         future = futures[i]
         pending = [(branch[d], c) for d, c in pendings[i]]
-        anchors = None
         if req:
-            # branch set must touch the neighbourhood of a placed neighbour
-            anchors = 0
+            # branch set must touch the neighbourhood of a placed neighbour;
+            # each subset is grown from its smallest such anchor
+            seeds = 0
             s = req[0]
             while s:
                 lsb = s & -s
-                anchors |= hadj[lsb.bit_length() - 1]
+                seeds |= hadj[lsb.bit_length() - 1]
                 s ^= lsb
-            anchors &= avail
-            if not anchors:
+            seeds &= avail
+            if not seeds:
                 return
-        for sub in _connected_subsets(hadj, avail, cap, anchors):
-            nbhd = 0
-            boundary_edges = 0
-            future_edges = 0
-            rest = avail & ~sub
-            targets = rest | req_union
-            s = sub
-            while s:
-                lsb = s & -s
+        else:
+            seeds = avail
+        found: list[int] = []
+
+        def grow(sub, size, ext, banned, allowed, nbhd, fut, bnd):
+            # Connected subsets of `allowed` through `sub`, each exactly once:
+            # sub itself, then each extension by a vertex of ext, banning the
+            # vertices extended by earlier siblings.  fut counts the edges from
+            # sub into the rest of the pool and bnd adds those into the placed
+            # neighbours; a vertex v with adjacency a joining sub adds
+            # |a & avail| - 2|a & sub| to both (its edges into sub stop
+            # counting from either side) and |a & req_union| to bnd.  A subset
+            # is kept when it has an edge for every pattern edge at depth i,
+            # enough edges for the neighbours still to place, and touches
+            # every placed neighbour.
+            if bnd >= deg_p and fut >= future:
+                for r in req:
+                    if not nbhd & r:
+                        break
+                else:
+                    found.append(sub)
+            if size >= cap:
+                return
+            banned_sub = sub | banned
+            e = ext
+            while e:
+                lsb = e & -e
+                e ^= lsb
                 a = hadj[lsb.bit_length() - 1]
-                nbhd |= a
-                boundary_edges += (a & targets).bit_count()
-                future_edges += (a & rest).bit_count()
-                s ^= lsb
-            if boundary_edges < deg_p or future_edges < future:
-                continue
-            ok = True
-            for r in req:
-                if not nbhd & r:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for qmask, c in pending:
-                cnt = 0
-                s = qmask
-                while s and cnt < c:
-                    lsb = s & -s
-                    cnt += (hadj[lsb.bit_length() - 1] & rest).bit_count()
-                    s ^= lsb
-                if cnt < c:
-                    ok = False
-                    break
-            if not ok:
-                continue
+                d = (a & avail).bit_count() - 2 * (a & sub).bit_count()
+                grow(
+                    sub | lsb, size + 1,
+                    (ext | (a & allowed)) & ~(banned_sub | lsb), banned,
+                    allowed, nbhd | a, fut + d, bnd + d + (a & req_union).bit_count(),
+                )
+                banned |= lsb
+                banned_sub |= lsb
+
+        s = seeds
+        while s:
+            lsb = s & -s
+            s ^= lsb
+            a = hadj[lsb.bit_length() - 1]
+            # exclude smaller seeds so each subset appears once
+            allowed = avail & ~(seeds & (lsb - 1))
+            d = (a & avail).bit_count()
+            grow(lsb, 1, a & allowed & ~lsb, 0, allowed, a, d, d + (a & req_union).bit_count())
+        for sub in found:
             branch[i] = sub
             for k, j in checks[i]:
                 if branch[k] < branch[j]:
                     break  # an automorphism maps the model to a smaller one
             else:
-                size = sub.bit_count()
-                yield from place(i + 1, used | sub, spent_v + size - 1, spent_e + size - 1)
+                rest = avail & ~sub
+                for qmask, c in pending:
+                    cnt = 0
+                    s = qmask
+                    while s and cnt < c:
+                        lsb = s & -s
+                        cnt += (hadj[lsb.bit_length() - 1] & rest).bit_count()
+                        s ^= lsb
+                    if cnt < c:
+                        break
+                else:
+                    size = sub.bit_count()
+                    yield from place(i + 1, used | sub, spent_v + size - 1, spent_e + size - 1)
 
     for placed in place(0, 0, 0, 0):
         assignment = [placed[pos[p]] for p in range(n)]

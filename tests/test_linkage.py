@@ -39,7 +39,7 @@ from rp3link.errors import DimensionExceeded, SizeExceeded
 from rp3link.homology import cycle_vertices
 from rp3link.minors import MinorModel
 
-from conftest import brute_force_automorphisms
+from conftest import brute_force_automorphisms, random_graph
 
 
 # a1..a4 = 0..3, b1..b4 = 4..7; K44-e removes (a1,b1) = (0,4)
@@ -67,6 +67,39 @@ def test_rule_a_case1_assignment(k44e):
     assert ev is not None
     assert not (cycle_vertices(k44e, ev.cycle1) & cycle_vertices(k44e, ev.cycle2))
     assert evaluate(phi, ev.cycle1) == 1 and evaluate(phi, ev.cycle2) == 1
+
+
+def _pairs_by_double_loop(ctx) -> list[tuple[int, int]]:
+    """Oracle: every vertex-disjoint cycle pair i < j, shortest total length
+    first, then by index."""
+    pairs = []
+    nc = len(ctx.cycles)
+    for i in range(nc):
+        vi = ctx.cycle_verts[i]
+        for j in range(i + 1, nc):
+            if not (vi & ctx.cycle_verts[j]):
+                pairs.append((i, j))
+    pairs.sort(
+        key=lambda p: (
+            ctx.cycles[p[0]].bit_count() + ctx.cycles[p[1]].bit_count(),
+            p[0],
+            p[1],
+        )
+    )
+    return pairs
+
+
+def test_pairs_match_the_double_loop():
+    rng = random.Random(5)
+    hosts = [load_fixture("k6").disjoint_union(load_fixture("k331"))]
+    hosts += [random_graph(rng, rng.randint(6, 9), rng.uniform(0.4, 0.65)) for _ in range(20)]
+    nonempty = 0
+    for g in hosts:
+        ctx = linkage.RuleContext(g)
+        pairs = ctx.pairs
+        assert pairs == _pairs_by_double_loop(ctx), g
+        nonempty += bool(pairs)
+    assert nonempty >= 15
 
 
 def test_rule_a_equivariance(k44e):

@@ -4,16 +4,21 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
 from rp3link import (
     Graph,
+    MarkedGraph,
     canonical_form,
+    delta_y,
     enumerate_minor_models,
     glue_pair,
+    glue_therefore,
     glue_vertex,
     is_minor,
+    k6_therefore,
     load_fixture,
     petersen_family,
     validate_model,
@@ -191,6 +196,11 @@ def _stream_host(name: str) -> Graph:
         return petersen_family().members[name[:-3]].add_edge(0, 1)
     if name == "K6t~K6t":
         return k6t
+    if name in ("K6t~P7Bt", "P7Bt~P7Bt"):
+        # unrelabelled delta-wye gluings, marked as the benchmark inputs are
+        k6m = k6_therefore()
+        p7b = MarkedGraph(delta_y(k6m.graph, (0, 3, 4)), k6m.marks)
+        return glue_therefore(k6m if name == "K6t~P7Bt" else p7b, p7b)
     if name.startswith("random"):
         return random_graph(random.Random(int(name[7:])), 9, 0.6)
     op, k = name.split(":")[1:]
@@ -200,7 +210,8 @@ def _stream_host(name: str) -> Graph:
 
 # sha256 of the ordered (member, branch_sets, edge_map) stream over all seven
 # Petersen-family members, and the model count per member, pinned before the
-# search loop was rewritten: the models and their order must not change
+# search loop was rewritten (the two gluings, before subset growth moved into
+# it): the models and their order must not change
 _STREAMS = {
     "K7-2adj": (
         "150dc565367306d016a52b0f363966d996126a173a7db8e57d9bd0bbfa6f7a6a",
@@ -237,6 +248,14 @@ _STREAMS = {
     "K6t~K6t": (
         "a98cb88388fd33cc25689b17f59b35a21bdfd1b9d65fec2c7812a84b55e32b4b",
         (792, 0, 666, 0, 0, 0, 0),
+    ),
+    "K6t~P7Bt": (
+        "56f47801c7681709f83f31e16371fb925695478d1568d06fc92aa18ab3768c90",
+        (554, 0, 965, 0, 333, 0, 0),
+    ),
+    "P7Bt~P7Bt": (
+        "bd5ac84051c48532cf97a0eeb33d0e60f69bfb1f5891761b997d65035807b72e",
+        (0, 0, 1108, 0, 1138, 0, 0),
     ),
     "K6t~K6t:delete:0": (
         "14acb78b5df24c1c481a4a26ca02cefd773bc08d978c57c1f0e607cc303883be",
@@ -374,3 +393,47 @@ def test_backtracking_is_complete_against_brute_force():
                 assert count == math.prod(per_edge), (name, host, sets)
             present[name] += bool(oracle)
     assert all(present.values()), present
+
+
+def test_search_descends_only_through_sets_that_pass_the_edge_counts():
+    # The completeness oracle above catches filters that are too strict; this
+    # catches ones that are too loose, which change no model, only the work.
+    # White-box: at each new search node (a place() frame), the branch set
+    # just placed one depth up is rechecked from scratch: enough edges for
+    # its pattern vertex, into the pool for its unplaced neighbours, into
+    # every placed neighbour, and enough pool left for each earlier vertex.
+    hosts = [_stream_host(name) for name in ("K7-2nonadj", "K6t~K6t:contract:0", "random:12")]
+    frames = set()
+    checked = 0
+
+    def watch(frame, event, arg):
+        nonlocal checked
+        if event != "call" or frame.f_code.co_name != "place" or frame in frames:
+            return
+        frames.add(frame)
+        f = frame.f_locals
+        if f["i"] == 0:
+            return
+        d, branch, adj = f["i"] - 1, f["branch"], f["hadj"]
+        sub = branch[d]
+        rest = ~f["used"] & ((1 << len(adj)) - 1)
+
+        def edges(mask, into):
+            return sum((adj[v] & into).bit_count() for v in range(len(adj)) if (mask >> v) & 1)
+
+        req = [branch[q] for q in f["reqs"][d]]
+        assert edges(sub, rest | sum(req)) >= f["degs"][d]
+        assert edges(sub, rest) >= f["futures"][d]
+        assert all(edges(sub, r) for r in req)
+        assert all(edges(branch[q], rest) >= c for q, c in f["pendings"][d])
+        checked += 1
+
+    sys.setprofile(watch)
+    try:
+        for host in hosts:
+            for pattern in petersen_family().members.values():
+                for _ in _backtrack_models(host, pattern):
+                    pass
+    finally:
+        sys.setprofile(None)
+    assert checked > 1000
