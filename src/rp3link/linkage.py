@@ -56,7 +56,7 @@ from .homology import (
     lift,
 )
 from .io_formats import graph_to_g6
-from .minors import MinorModel, enumerate_minor_models, validate_model
+from .minors import MinorModel, enumerate_minor_models, is_minor, validate_model
 
 _K6 = Graph.complete(6)
 
@@ -162,18 +162,26 @@ class RuleContext:
     all orderings are deterministic so certificates replay bit-exactly.
     Minor models and conditions are generated on demand (`_OnDemand`), so
     a sweep that forces every assignment early never builds the rest.
+
+    `minor_of` holds graphs the host is known to be a minor of; a caller
+    fills it before the first model is read.  A member that is no minor
+    of one of them is no minor of the host either (the minor relation is
+    transitive), so its model stream is empty without a search on the
+    host.  The absence is proved on the larger graph once, by
+    `_proved_absent`, and shared by every context that names that graph.
     """
 
     def __init__(self, host: Graph, limits: Limits = DEFAULT_LIMITS):
         self.host = host
         self.limits = limits
+        self.minor_of: set[Graph] = set()
         self.cs = cycle_space(host)
         self.dim = self.cs.dim
         cyc = sorted(all_simple_cycles(host, limits), key=lambda c: (c.bit_count(), c))
         self.cycles: tuple[int, ...] = tuple(cyc)
         self.cycle_sigs = tuple(self.cs.signature(c) for c in cyc)
         self.cycle_verts = tuple(cycle_vertices(host, c) for c in cyc)
-        self.c_models = _OnDemand(enumerate_minor_models(host, _K6, limits=limits))
+        self.c_models = _OnDemand(self._models(_K6))
         quads = [(quad, quad) for quad in itertools.combinations(range(6), 4)]
         # deduped (vectors, "K6", model index, quad) conditions in search order
         self.c_conditions = _OnDemand(self._conditions([("K6", _K6, self.c_models, quads)]))
@@ -211,6 +219,16 @@ class RuleContext:
 
     # -- rules C and B -----------------------------------------------------------
 
+    def _models(self, member: Graph) -> Iterator[MinorModel]:
+        """The models of member in the host, or none when member fits the
+        host but is no minor of a graph in `minor_of`."""
+        host = self.host
+        if member.n <= host.n and member.m <= host.m and any(
+            _proved_absent(member, larger, self.limits) for larger in self.minor_of
+        ):
+            return
+        yield from enumerate_minor_models(host, member, limits=self.limits)
+
     @cached_property
     def b_models(self) -> dict[str, _OnDemand]:
         from .families import petersen_family
@@ -218,9 +236,7 @@ class RuleContext:
         fam = petersen_family()
         # K6 is a family member too: share the rule-C models
         return {
-            name: self.c_models
-            if g == _K6
-            else _OnDemand(enumerate_minor_models(self.host, g, limits=self.limits))
+            name: self.c_models if g == _K6 else _OnDemand(self._models(g))
             for name, g in fam.members.items()
             if g.n <= self.host.n and g.m <= self.host.m
         }
@@ -290,6 +306,13 @@ def _kept_basis(member: Graph, kept: list[int]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=64)
+def _proved_absent(member: Graph, host: Graph, limits: Limits) -> bool:
+    """True when member is no minor of host.  Cached: a minimality scan
+    asks it of the scanned graph for each of its one-step minors."""
+    return is_minor(member, host, limits) is None
+
+
+@lru_cache(maxsize=64)
 def _cached_context(host: Graph, limits: Limits) -> RuleContext:
     return RuleContext(host, limits)
 
@@ -304,6 +327,15 @@ def rule_context(host: Graph, limits: Limits = DEFAULT_LIMITS) -> RuleContext:
 
 
 rule_context.cache_clear = _cached_context.cache_clear  # type: ignore[attr-defined]
+
+
+def _capped_context(g: Graph, limits: Limits) -> RuleContext:
+    """rule_context(g, limits), after checking the dimension cap: a graph
+    over the cap can have too many simple cycles to enumerate."""
+    dim = cycle_space(g).dim
+    if dim > limits.max_dim:
+        raise DimensionExceeded(f"dimension {dim} exceeds cap {limits.max_dim}")
+    return rule_context(g, limits)
 
 
 def parse_rules(rules: str) -> str:
@@ -519,12 +551,7 @@ def certify(
     """Sweep all 2^dim assignments, attaching evidence in A, C, B order."""
     rules = parse_rules(rules)
     t0 = time.perf_counter()
-    # before rule_context enumerates the simple cycles, which a graph over
-    # the cap can have too many of
-    dim = cycle_space(g).dim
-    if dim > limits.max_dim:
-        raise DimensionExceeded(f"dimension {dim} exceeds cap {limits.max_dim}")
-    ctx = rule_context(g, limits)
+    ctx = _capped_context(g, limits)
     sweeper = _Sweeper(ctx, rules)
     total = 1 << ctx.dim
     rule_of = bytearray(total)
@@ -794,7 +821,14 @@ def minimality_scan(
     rules: str = "ABC",
     limits: Limits = DEFAULT_LIMITS,
 ) -> MinimalityReport:
-    """Certify both one-step minors for one representative per edge orbit."""
+    """Certify both one-step minors for one representative per edge orbit.
+
+    Each minor's context learns that its host is a minor of g before it
+    is certified.  A Petersen-family member that is no minor of g is then
+    proved absent once, on g, when a minor's sweep first reads its models,
+    and not searched again on any minor.  The streams skipped that way
+    are empty anyway, so the entries are those of `certify`.
+    """
     rules = parse_rules(rules)
     table = orbits(g, limits)
     edge_orbits = [
@@ -811,6 +845,7 @@ def minimality_scan(
             ("delete", g.delete_edge(*e)),
             ("contract", g.contract_edge(*e)),
         ):
+            _capped_context(minor, limits).minor_of.add(g)
             cert = certify(minor, rules=rules, limits=limits)
             report.entries.append(
                 MinimalityEntry(e, op_name, cert.verdict, len(cert.unforced))

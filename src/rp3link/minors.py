@@ -261,6 +261,9 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
                 if k != j:
                     checks[max(j, k)].add((k, j))
                     break
+    # the sets the one placed at depth i must exceed: disjoint sets compare
+    # as their highest vertices, so it needs a vertex above all of them
+    lowers = [[j for k, j in checks[i] if k == i] for i in range(n)]
 
     branch = [0] * n  # depth -> host mask of the branch set placed there
 
@@ -270,6 +273,10 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
             return
         avail = ~used & ((1 << host.n) - 1)
         if avail.bit_count() < n - i:
+            return
+        top = max([branch[j] for j in lowers[i]], default=0)
+        high = avail & ~((1 << top.bit_length()) - 1)
+        if not high:
             return
         deg_p = degs[i]
         req = [branch[d] for d in reqs[i]]
@@ -305,7 +312,9 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
             # counting from either side) and |a & req_union| to bnd.  A subset
             # is kept when it has an edge for every pattern edge at depth i,
             # enough edges for the neighbours still to place, and touches
-            # every placed neighbour.
+            # every placed neighbour.  A subset that reaches the size cap
+            # without a vertex of `high` would fail the lex-leader test, so
+            # it is not grown.
             if bnd >= deg_p and fut >= future:
                 for r in req:
                     if not nbhd & r:
@@ -315,7 +324,8 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
             if size >= cap:
                 return
             banned_sub = sub | banned
-            e = ext
+            # banned only matters below the cap, so filtering e keeps it exact
+            e = ext & high if size + 1 >= cap and not sub & high else ext
             while e:
                 lsb = e & -e
                 e ^= lsb
@@ -329,7 +339,7 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
                 banned |= lsb
                 banned_sub |= lsb
 
-        s = seeds
+        s = seeds & high if cap == 1 else seeds
         while s:
             lsb = s & -s
             s ^= lsb

@@ -223,6 +223,31 @@ def test_cli_minimality(capsys):
     assert "engine-minimal: True" in out
 
 
+# sha256 of the stdout of `rp3link [--rules AB] --format json minimality
+# <fixture>`, pinned before the one-step minors inherited the scanned
+# graph's proved minor absences
+_CLI_MINIMALITY_SHA = {
+    ("k6", "ABC"): "dfdb8f596dd1b8ab818dffa1935914cf679248f49e4a8a8045f6e1ee3847d1ac",
+    ("k44_minus_e", "AB"): "4ad5ea5875242a02dc8581e2be3e14745cba606616d4efb614b99af6f9d8ce3a",
+    ("k7_minus_two_adjacent", "ABC"): (
+        "c4b9daaafaa7c263516f3967c34bfe6bc48e3d882aae84067d7d009223d5863e"
+    ),
+    ("k7_minus_two_nonadjacent", "ABC"): (
+        "c0b99860bc35c604aa3001b4df6ad7fc9def5251c8758a799b798284d7ebe06e"
+    ),
+    ("k6_therefore_k6", "ABC"): (
+        "220a565962debd6b327589e87cd1c776f63679e36f718a18a8b5ecb75417ebd4"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, rules", sorted(_CLI_MINIMALITY_SHA))
+def test_cli_minimality_json_pinned(name, rules, capsys):
+    assert main(["--rules", rules, "--format", "json", "minimality", str(fixture_path(name))]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _CLI_MINIMALITY_SHA[name, rules]
+
+
 def test_cli_catalog_and_reconcile(capsys, tmp_path):
     assert main(["--format", "json", "catalog", "0", "--out", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -33,7 +33,7 @@ from rp3link import (
     rule_context,
     verify_certificate,
 )
-from rp3link import linkage
+from rp3link import is_minor, linkage, minors
 from rp3link.config import Limits
 from rp3link.errors import DimensionExceeded, SizeExceeded
 from rp3link.homology import cycle_vertices
@@ -580,6 +580,76 @@ def test_failed_table_raises_again():
 def test_minimality_rules_normalised(k44e):
     assert minimality_scan(k44e, "ab").rules == certify(k44e, "ab").rules == "AB"
     assert minimality_scan(k44e, "ABC").rules == "ACB"
+
+
+def _one_step_minors(g, report):
+    return [
+        g.delete_edge(*e.edge) if e.operation == "delete" else g.contract_edge(*e.edge)
+        for e in report.entries
+    ]
+
+
+def _model_counts(ctx):
+    return len(ctx.c_models), {name: len(models) for name, models in ctx.b_models.items()}
+
+
+@pytest.mark.parametrize(
+    "fixture, rules",
+    [("k6_therefore_k6", "ABC"), ("k7_minus_two_adjacent", "ABC"), ("k44_minus_e", "AB")],
+)
+def test_minimality_scan_inherits_absences_exactly(fixture, rules, monkeypatch, cold_contexts):
+    g = load_fixture(fixture)
+    members = petersen_family().members.values()
+    absent = {m for m in members if is_minor(m, g) is None}
+    # every search the minors make for themselves, outside the proofs on g
+    searched, proving = [], [0]
+    real_absent, real_search = linkage._proved_absent, minors._backtrack_models
+
+    def proved_absent(member, host, limits):
+        proving[0] += 1
+        try:
+            return real_absent(member, host, limits)
+        finally:
+            proving[0] -= 1
+
+    def search(host, pattern):
+        if not proving[0]:
+            searched.append(pattern)
+        return real_search(host, pattern)
+
+    monkeypatch.setattr(linkage, "_proved_absent", proved_absent)
+    monkeypatch.setattr(minors, "_backtrack_models", search)
+    real_absent.cache_clear()
+    report = minimality_scan(g, rules)
+    assert not set(searched) & absent
+    graphs = _one_step_minors(g, report)
+    # the scan's contexts are still cached: certify reuses them
+    warm = [(certify(h, rules), _model_counts(rule_context(h))) for h in graphs]
+    linkage.rule_context.cache_clear()
+    for entry, h, (warm_cert, warm_counts) in zip(report.entries, graphs, warm):
+        cold = certify(h, rules)
+        assert not cold.ctx.minor_of
+        assert (entry.verdict, entry.unforced_count) == (cold.verdict, len(cold.unforced))
+        assert warm_cert.to_json(include_timing=False) == cold.to_json(include_timing=False)
+        assert (bytes(warm_cert.rule_of), warm_cert.ev_of) == (bytes(cold.rule_of), cold.ev_of)
+        assert warm_counts == _model_counts(cold.ctx)
+
+
+@pytest.mark.parametrize(
+    "limits, error",
+    [
+        (Limits(max_dim=5), DimensionExceeded),
+        (Limits(max_cycles=10), SizeExceeded),
+        # the cap is checked before the cycles are enumerated, as in certify
+        (Limits(max_dim=5, max_cycles=10), DimensionExceeded),
+    ],
+)
+def test_minimality_scan_errors_follow_certify(k7_2adj, limits, error, cold_contexts):
+    for h in _one_step_minors(k7_2adj, minimality_scan(k7_2adj)):
+        with pytest.raises(error):
+            certify(h, limits=limits)
+    with pytest.raises(error):
+        minimality_scan(k7_2adj, limits=limits)
 
 
 def test_multi_window_certificate_pinned():

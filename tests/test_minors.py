@@ -437,3 +437,45 @@ def test_search_descends_only_through_sets_that_pass_the_edge_counts():
     finally:
         sys.setprofile(None)
     assert checked > 1000
+
+
+def test_search_grows_only_subsets_that_can_pass_the_lex_leader_test():
+    # Like the test above, this catches a pruning that is too loose, which
+    # changes no model, only the work.  White-box: a set placed at depth i
+    # must exceed every set branch[j] of a lex check (i, j); disjoint sets
+    # compare as their highest vertices, so it needs a vertex above all of
+    # them.  Each grow() frame must be entered for a subset that holds such
+    # a vertex or can still add one: it is below the size cap, and later
+    # extensions draw on allowed vertices not yet banned.
+    hosts = [_stream_host(name) for name in ("K7-2nonadj", "K6t~K6t:contract:0", "random:12")]
+    checked = 0
+
+    def watch(frame, event, arg):
+        nonlocal checked
+        if event != "call" or frame.f_code.co_name != "grow":
+            return
+        outer = frame.f_back
+        while outer.f_code.co_name != "place":
+            outer = outer.f_back
+        p, f = outer.f_locals, frame.f_locals
+        i, branch = p["i"], p["branch"]
+        bounds = [branch[j] for k, j in p["checks"][i] if k == i]
+        if not bounds:
+            return
+        floor = max(b.bit_length() for b in bounds)
+        above = p["avail"] >> floor << floor
+        reach = f["sub"]
+        if f["size"] < p["cap"]:
+            reach |= f["allowed"] & ~f["banned"]
+        assert reach & above
+        checked += 1
+
+    sys.setprofile(watch)
+    try:
+        for host in hosts:
+            for pattern in petersen_family().members.values():
+                for _ in _backtrack_models(host, pattern):
+                    pass
+    finally:
+        sys.setprofile(None)
+    assert checked > 1000
