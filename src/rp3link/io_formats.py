@@ -100,7 +100,10 @@ def parse_graph(text: str) -> Graph | MarkedGraph:
             fields = row[len("marks:") :].split()
             if len(fields) != 3:
                 raise ParseError("marks line needs exactly three vertices", line=lineno)
-            marks = tuple(int(f) for f in fields)  # type: ignore[assignment]
+            try:
+                marks = tuple(int(f) for f in fields)  # type: ignore[assignment]
+            except ValueError:
+                raise ParseError(f"non-integer mark in {row!r}", line=lineno) from None
             continue
         fields = row.split()
         if len(fields) != 2:

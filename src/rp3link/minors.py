@@ -4,6 +4,17 @@ A model witnesses pattern <= host through disjoint connected branch sets
 (one per pattern vertex), a BFS spanning tree inside each set, and one
 host edge per pattern edge joining the two corresponding sets.  Extra
 edges induced inside a branch set are treated as deleted.
+
+Absence is proved on smaller graphs when the host separates.  If S is a
+separator of G with |S| <= 3 and H is a minor of G whose connectivity
+exceeds |S|, then H is a minor of G[C + S] + K(S) for some component C of
+G - S, where K(S) adds every missing edge between vertices of S (see
+`_absent_by_separation`).  So a 3-connected pattern is sought on the pieces
+of the host's first separation of order <= 2 and a 4-connected one on those
+of order <= 3, where a 3-cut that splits off a single vertex is skipped:
+its pieces are K4 and the host's wye-delta, which is no minor of the host.
+A pattern found on some piece is enumerated on the whole host, so the
+models and their order do not depend on the shortcut.
 """
 
 from __future__ import annotations
@@ -130,27 +141,36 @@ def _components(adj: tuple[int, ...], avail: int) -> list[int]:
     return comps
 
 
-def _separation_pieces(g: Graph) -> list[Graph] | None:
-    """Pieces of the first separation of order <= 2 of g, or None if none.
-
-    Tried in order: the components of g; the sides G[C + v] of a cut vertex
-    v, one per component C of G - v; the sides G[C + {x, y}] of a 2-cut
-    x < y, each with the virtual edge xy added.  So g is 3-connected exactly
-    when it has at least 4 vertices and this returns None.
-    """
+def _cuts(g: Graph, order: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each vertex set S with |S| <= order whose removal disconnects g, with
+    the component masks of g - S; by size, then in lexicographic order."""
     full = (1 << g.n) - 1
-    singles = [1 << v for v in range(g.n)]
-    pairs = [a | b for a, b in itertools.combinations(singles, 2)]
-    for cut in [0, *singles, *pairs]:
-        comps = _components(g.adj, full & ~cut)
-        if len(comps) < 2:
+    for size in range(order + 1):
+        for cut in itertools.combinations(range(g.n), size):
+            comps = _components(g.adj, full & ~sum(1 << v for v in cut))
+            if len(comps) > 1:
+                yield cut, comps
+
+
+def _separation_pieces(g: Graph, order: int) -> list[Graph] | None:
+    """Pieces of the first separation of order <= `order` of g, or None.
+
+    Cuts S are tried by size: the empty cut (the components of g), each cut
+    vertex, each pair x < y, then each triple.  The pieces are G[C + S] plus
+    every missing edge between vertices of S, one per component C of G - S;
+    for a 2-cut that is the virtual edge xy.  A 3-cut that leaves a single
+    vertex as a component is skipped: its pieces would be K4 and the
+    wye-delta of g, which is no minor of g, hardly smaller, and often holds
+    the pattern.
+    """
+    for cut, comps in _cuts(g, order):
+        if len(cut) == 3 and any(comp & (comp - 1) == 0 for comp in comps):
             continue
         pieces = []
         for comp in comps:
-            vs = [v for v in range(g.n) if ((comp | cut) >> v) & 1]
+            vs = [v for v in range(g.n) if (comp >> v) & 1 or v in cut]
             piece = g.induced_subgraph(vs)
-            if cut.bit_count() == 2:
-                x, y = (vs.index(v) for v in range(g.n) if (cut >> v) & 1)
+            for x, y in itertools.combinations([vs.index(v) for v in cut], 2):
                 if not piece.has_edge(x, y):
                     piece = piece.add_edge(x, y)
             pieces.append(piece)
@@ -158,18 +178,39 @@ def _separation_pieces(g: Graph) -> list[Graph] | None:
     return None
 
 
+@lru_cache(maxsize=256)
+def _pattern_order(pattern: Graph) -> int | None:
+    """Order of the host separations whose pieces must hold pattern, if any:
+    3 for a 4-connected pattern (n >= 5, no separation of order <= 3), 2 for
+    a 3-connected one (n >= 4, none of order <= 2), else None."""
+    for order in (3, 2):
+        if pattern.n > order + 1 and next(_cuts(pattern, order), None) is None:
+            return order
+    return None
+
+
 def _absent_by_separation(host: Graph, pattern: Graph, limits: Limits) -> bool:
     """True when pattern is proved not to be a minor of host on smaller graphs.
 
-    A 3-connected minor of a graph is a minor of one of its components, of
-    one side of a cut vertex, or of one side of a 2-cut {x, y} with the
-    virtual edge xy added (Diestel, Graph Theory, ch. 12; Oxley, Matroid
-    Theory, on 2-sums).  Pieces are tested through `is_minor`, so they are
-    split again in turn.
+    Let S separate host, and let H be a minor of host with connectivity
+    above |S|.  Then H is a minor of G[C + S] + K(S) for some component C of
+    host - S, where K(S) adds every missing edge between vertices of S.
+    Branch sets that avoid S lie in components of host - S; were two
+    components to hold one each, the at most |S| branch sets meeting S would
+    separate H.  So one component C holds them all, and cut down to C + S
+    each branch set stays nonempty and connected and each pattern edge
+    survives: paths and edges through other components become edges of
+    K(S).  For |S| <= 2 these are the block and 2-sum facts (Diestel, Graph
+    Theory, ch. 12; Oxley, Matroid Theory, on 2-sums).  A 3-connected
+    pattern is therefore tested on the pieces of a separation of order
+    <= 2, and a 4-connected one (K6 and K331 in the Petersen family) on
+    those of order <= 3, skipping 3-cuts that split off a single vertex.
+    Pieces are tested through `is_minor`, so they are split again in turn.
     """
-    if pattern.n < 4 or _separation_pieces(pattern) is not None:
+    order = _pattern_order(pattern)
+    if order is None:
         return False
-    pieces = _separation_pieces(host)
+    pieces = _separation_pieces(host, order)
     return pieces is not None and all(
         is_minor(pattern, piece, limits) is None for piece in pieces
     )
@@ -183,8 +224,9 @@ def enumerate_minor_models(
     """Every model of pattern inside host, in backtracking order.
 
     A 3-connected pattern that is no minor of any piece of a separation of
-    order <= 2 of host yields nothing at once; otherwise the backtracking
-    search below runs on the whole host.
+    order <= 2 of host, or a 4-connected one that is no minor of any piece of
+    a separation of order <= 3, yields nothing at once; otherwise the
+    backtracking search below runs on the whole host.
     """
     if host.n > limits.max_vertices or pattern.n > limits.max_vertices:
         raise SizeExceeded("graph exceeds vertex bound")

@@ -49,6 +49,15 @@ def test_parse_errors():
         parse_graph("")
 
 
+def test_non_integer_mark_names_its_line(tmp_path, capsys):
+    with pytest.raises(ParseError, match=r"non-integer mark in 'marks: a b c' \(line 2\)"):
+        parse_graph("3 0\nmarks: a b c\n")
+    path = tmp_path / "marks.txt"
+    path.write_text("3 0\nmarks: 0 1 x\n")
+    assert main(["orbits", str(path)]) == 1
+    assert "(line 2)" in capsys.readouterr().err
+
+
 def test_fixture_k44e(k44e):
     g = load_fixture("k44_minus_e")
     assert g.n == 8 and g.m == 15

@@ -23,6 +23,7 @@ from rp3link import (
     petersen_family,
     validate_model,
 )
+from rp3link import minors
 from rp3link.errors import ModelInvalid, SizeExceeded
 from rp3link.minors import MinorModel, _backtrack_models, _pattern_group
 
@@ -175,6 +176,78 @@ def test_absence_shortcut_matches_backtracking():
     assert all(seen == {False, True} for seen in outcomes.values()), outcomes
 
 
+def _three_sums(rng: random.Random, count: int):
+    """Two dense random graphs sharing three vertices, with random edges
+    among those three, at most 11 vertices, randomly relabelled."""
+    for _ in range(count):
+        a = rng.randint(4, 10)
+        b = rng.randint(4, 14 - a)
+        g1, g2 = random_graph(rng, a, 0.9), random_graph(rng, b, 0.9)
+        shift = a - 3  # g2's vertices 0, 1, 2 become g1's last three
+        shared = [(x, y) for x, y in itertools.combinations(range(shift, a), 2)
+                  if rng.random() < 0.5]
+        edges = {e for e in g1.edges if e[0] < shift} | set(shared)
+        edges |= {(u + shift, v + shift) for u, v in g2.edges if v > 2}
+        perm = list(range(a + b - 3))
+        rng.shuffle(perm)
+        yield Graph.from_edges(a + b - 3, edges).relabel(perm)
+
+
+def test_order_3_shortcut_matches_backtracking():
+    fam = petersen_family().members
+    four_connected = {
+        "K5": Graph.complete(5),
+        "K222": Graph.complete_multipartite(2, 2, 2),
+        "K6": fam["K6"],
+        "K331": fam["K331"],
+    }
+    patterns = {
+        **four_connected,
+        "K33": Graph.complete_bipartite(3, 3),
+        "P7": fam["P7"],
+        "K44-e": fam["K44-e"],
+    }
+    outcomes = {name: set() for name in four_connected}
+    for host in _three_sums(random.Random(13), 40):
+        for name, pattern in patterns.items():
+            raw = next(_backtrack_models(host, pattern), None)
+            assert is_minor(pattern, host) == raw, (name, host)
+            if name in outcomes:
+                outcomes[name].add(raw is not None)
+    assert all(seen == {False, True} for seen in outcomes.values()), outcomes
+
+
+def test_order_3_shortcut_only_for_4_connected_patterns():
+    # the mark separation splits K6t~K6t into two K6, and neither holds P7,
+    # which is 3-connected but not 4-connected
+    assert is_minor(petersen_family().members["P7"], _stream_host("K6t~K6t")) is not None
+
+
+@pytest.mark.parametrize("name", ["K6t~P7Bt", "P7Bt~P7Bt", "K6t~P8Bt", "K6t~K6t"])
+def test_k331_absent_on_gluings_without_searching_the_whole_host(name, monkeypatch):
+    # A 3-cut that splits off a single vertex gives K4 and the wye-delta of
+    # the host; for some degree-3 vertices of K6t~P8Bt that wye-delta holds
+    # K331.  Which cut comes first depends on the labels, so each gluing is
+    # relabelled.
+    searched = []
+
+    def counting(host, pattern):
+        searched.append(host)
+        return _backtrack_models(host, pattern)
+
+    monkeypatch.setattr(minors, "_backtrack_models", counting)
+    k331 = petersen_family().members["K331"]
+    base = _stream_host(name)
+    rng = random.Random(3)
+    for _ in range(10):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        host = base.relabel(perm)
+        searched.clear()
+        assert is_minor(k331, host) is None
+        assert host not in searched, perm
+
+
 def test_shortcut_skips_patterns_that_are_not_3_connected():
     # two triangles sharing a vertex: the host splits at the shared vertex,
     # and neither triangle contains the bowtie
@@ -196,10 +269,13 @@ def _stream_host(name: str) -> Graph:
         return petersen_family().members[name[:-3]].add_edge(0, 1)
     if name == "K6t~K6t":
         return k6t
-    if name in ("K6t~P7Bt", "P7Bt~P7Bt"):
+    if name in ("K6t~P7Bt", "P7Bt~P7Bt", "K6t~P8Bt"):
         # unrelabelled delta-wye gluings, marked as the benchmark inputs are
         k6m = k6_therefore()
         p7b = MarkedGraph(delta_y(k6m.graph, (0, 3, 4)), k6m.marks)
+        if name == "K6t~P8Bt":
+            p8b = MarkedGraph(delta_y(p7b.graph, p7b.graph.triangles()[0]), k6m.marks)
+            return glue_therefore(k6m, p8b)
         return glue_therefore(k6m if name == "K6t~P7Bt" else p7b, p7b)
     if name.startswith("random"):
         return random_graph(random.Random(int(name[7:])), 9, 0.6)
