@@ -27,16 +27,21 @@ Assignments are swept in windows of up to 2^16 indices held as bitmap
 integers (bit u = assignment u of the window); the parity of ``v & r``
 over a window is a Walsh pattern, so every rule reduces to a few big-int
 AND/XOR operations per condition.  Each cycle's bitmap is built at most
-once per window, when a rule-A pair first needs it.  A forced bitmap is
-decoded bytewise (``int.to_bytes`` and a table of the bits set in each
-byte value) straight into the per-assignment rule and evidence arrays.
+once per window, when a rule-A pair first needs it, and set to 0 once the
+cycle is even on every assignment still undecided: for the rest of the
+window a pair with that cycle costs one list lookup.  The bitmaps a
+window forces are kept as the bit planes of their entry numbers and
+decoded once, when the window is done (`_Forced`): each plane is spread
+to a byte per assignment with ``format`` and ``bytes.translate``, and the
+entry numbers so assembled index the rule codes and table indices that
+go into the per-assignment rule and evidence arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import re
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -400,25 +405,69 @@ def _base_patterns(w: int) -> list[int]:
     return pats
 
 
-# bit offsets set in each byte value, for decoding a bitmap bytewise
-_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
-_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+# a window's forced assignments are decoded this many at a time: decoding
+# all 2^16 at once raised peak memory
+_CHUNK = 4096
+# _SPREAD[k] turns the digits '0' and '1' into the bytes 0 and 1 << k
+_SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << k))) for k in range(8))
 
 
-def _write_forced(h: int, start: int, rule_of: bytearray, ev_of: list[int],
-                  code: int, idx: int) -> None:
-    """Set rule_of[start + u] = code and ev_of[start + u] = idx for every
-    bit u of h >= 0.  Only the runs of nonzero bytes are visited, one table
-    lookup per byte."""
-    data = h.to_bytes((h.bit_length() + 7) // 8, "little")
-    for run in _NONZERO_BYTES.finditer(data):
-        base = start + 8 * run.start()
-        for byte in run.group():
-            for k in _BYTE_BITS[byte]:
-                u = base + k
-                rule_of[u] = code
-                ev_of[u] = idx
-            base += 8
+class _Forced:
+    """The forced bitmaps of one window, as the bit planes of their 1-based
+    entry number: bit u of planes[b] is bit b of the entry that forced
+    assignment u of the window, 0 when none did.  Entry e holds rule code
+    codes[e] and table index idxs[e]."""
+
+    def __init__(self):
+        self.planes: list[int] = []
+        self.codes = [0]
+        self.idxs = [0]
+
+    def add(self, h: int, code: int, idx: int) -> None:
+        """Record that bitmap h, disjoint from the bitmaps added before,
+        is forced by entry idx of rule code."""
+        e = len(self.codes)
+        self.codes.append(code)
+        self.idxs.append(idx)
+        planes = self.planes
+        if e.bit_length() > len(planes):
+            planes.append(0)
+        b = 0
+        while e:
+            if e & 1:
+                planes[b] |= h
+            e >>= 1
+            b += 1
+
+    def write(self, start: int, width: int, rule_of: bytearray, ev_of: list[int]) -> None:
+        """Set rule_of[start + u] and ev_of[start + u], for u < width, to
+        the rule code and table index of the entry that forced assignment
+        u, or to 0 when none did.
+
+        Each chunk of assignments gets a lane of 1, 2 or 4 bytes per
+        assignment, wide enough for the entry numbers: every plane is spread
+        to a byte per assignment by format/translate and placed at its byte
+        of the lane, and the lanes are mapped through codes and idxs.
+        """
+        planes, codes, idxs = self.planes, self.codes, self.idxs
+        nbits = len(planes)
+        lane, typecode = (1, "B") if nbits <= 8 else (2, "H") if nbits <= 16 else (4, "I")
+        places = range(lane) if sys.byteorder == "little" else range(lane - 1, -1, -1)
+        n = min(width, _CHUNK)
+        mask = (1 << n) - 1
+        digits = f"0{n}b"
+        for off in range(0, width, n):
+            buf = bytearray(n * lane)
+            for g, place in enumerate(places):
+                spread = 0
+                for k, plane in enumerate(planes[8 * g:8 * g + 8]):
+                    bits = format(plane >> off & mask, digits)[::-1].encode()
+                    spread |= int.from_bytes(bits.translate(_SPREAD[k]), "little")
+                buf[place::lane] = spread.to_bytes(n, "little")
+            lanes = memoryview(buf).cast(typecode)
+            s = start + off
+            rule_of[s:s + n] = bytes(map(codes.__getitem__, lanes))
+            ev_of[s:s + n] = map(idxs.__getitem__, lanes)
 
 
 class _Sweeper:
@@ -453,30 +502,54 @@ class _Sweeper:
         C and B conditions were examined (the highest index tested + 1).
 
         A cycle's window bitmap is built the first time a pair needs it and
-        dropped with the window.  The bitmap is tested for emptiness right
-        after a condition forced something, so no condition past the last
-        useful one is fetched.
+        dropped with the window.  Once a cycle is even on every undecided
+        assignment its bitmap is set to 0: the undecided set only shrinks,
+        so no later pair with that cycle can force anything, and such a
+        pair costs one list lookup.  The first cycle of a pair is tested by
+        the AND the pair needs anyway, the second when the pair forces
+        nothing, at most once per shrink of the undecided set.  The bitmap
+        of undecided assignments is tested for emptiness right after a
+        condition forced something, so no condition past the last useful
+        one is fetched.  The forced bitmaps are decoded into rule_of/ev_of
+        once, at the end.
         """
         ctx = self.ctx
         full = self.full
-        start = win << self.w
         undec = full
+        forced = _Forced()
         if "A" in self.rules:
             sigs = ctx.cycle_sigs
             bitmaps: list[int | None] = [None] * len(sigs)
+            # live[j] == len(forced.codes): cycle j was found odd on an
+            # undecided assignment after undec last shrank, so a pair that
+            # forces nothing tests the second cycle once per shrink
+            live = [0] * len(sigs)
             for pid, (i, j) in enumerate(ctx.pairs):
                 hi = bitmaps[i]
                 if hi is None:
                     hi = bitmaps[i] = self.ones(sigs[i], win)
+                if not hi:
+                    continue
                 hj = bitmaps[j]
                 if hj is None:
                     hj = bitmaps[j] = self.ones(sigs[j], win)
-                h = undec & hi & hj
+                if not hj:
+                    continue
+                h = undec & hi
+                if not h:
+                    bitmaps[i] = 0
+                    continue
+                h &= hj
                 if h:
                     undec ^= h
-                    _write_forced(h, start, rule_of, ev_of, 1, pid)
+                    forced.add(h, 1, pid)
                     if not undec:
                         break
+                elif live[j] != len(forced.codes):
+                    if undec & hj:
+                        live[j] = len(forced.codes)
+                    else:
+                        bitmaps[j] = 0
         examined = [0, 0]
         for k, (rule, code) in enumerate((("C", 2), ("B", 3))):
             if rule not in self.rules or not undec:
@@ -490,10 +563,16 @@ class _Sweeper:
                         break
                 if h:
                     undec ^= h
-                    _write_forced(h, start, rule_of, ev_of, code, cid)
+                    forced.add(h, code, cid)
                     if not undec:
                         break
+        forced.write(win << self.w, self.width, rule_of, ev_of)
         return examined
+
+
+def _check_assignment(v: int, dim: int) -> None:
+    if not 0 <= v < 1 << dim:
+        raise ValueError(f"assignment {v} is outside [0, 2^{dim})")
 
 
 @dataclass
@@ -514,6 +593,9 @@ class Certificate:
     ctx: RuleContext
 
     def evidence(self, assignment: int):
+        """The evidence that forced an assignment, None if none did.
+        Raises ValueError for an assignment outside [0, 2^dim)."""
+        _check_assignment(assignment, self.dim)
         rule = self.rule_of[assignment]
         return self.ctx.evidence(rule, self.ev_of[assignment]) if rule else None
 
@@ -754,13 +836,21 @@ def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -
     contract onto their pattern cycles) and the coefficient vectors of its
     cycles, found by fresh elimination over the fundamental basis (no
     signature shortcut).  Every assignment citing it must then give each
-    vector the wanted parity.  Raises ModelInvalid on the first failure.
+    vector the wanted parity.  Raises ModelInvalid on the first failure,
+    and ValueError, before checking any, if sample holds an assignment
+    outside [0, 2^dim).
     """
+    if sample is None:
+        sample = range(1 << cert.dim)
+    else:
+        sample = list(sample)
+        for v in sample:
+            _check_assignment(v, cert.dim)
     g = cert.graph
     ev = _IndependentEvaluator(g)
     claims: dict[tuple[int, int], tuple[tuple[int, ...], int, str]] = {}
     checked = 0
-    for v in sample if sample is not None else range(1 << cert.dim):
+    for v in sample:
         rule = cert.rule_of[v]
         if not rule:
             continue

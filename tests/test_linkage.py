@@ -335,6 +335,15 @@ def test_certificate_verification_catches_tampered_model_evidence(graph, rules, 
     assert verify_certificate(cert, sample=[v]) == 1
 
 
+def test_assignments_outside_the_sweep_are_rejected(k6):
+    cert = certify(k6)
+    for v in (-1, -5, 1 << cert.dim):
+        with pytest.raises(ValueError, match="outside"):
+            cert.evidence(v)
+        with pytest.raises(ValueError, match="outside"):
+            verify_certificate(cert, sample=[0, v])
+
+
 def test_verifier_checks_that_lifts_contract_onto_their_pattern_cycles(k7_2adj, monkeypatch):
     from rp3link.errors import ModelInvalid
 
@@ -671,6 +680,26 @@ def test_multi_window_certificate_pinned():
     }
 
 
+def _decode_forced(entries, width):
+    """Decode (bitmap, code, idx) entries as the second of two windows, over
+    arrays whose first window already holds a rule; also return what a
+    per-bit write of the same entries gives."""
+    forced = linkage._Forced()
+    for h, code, idx in entries:
+        forced.add(h, code, idx)
+    rule_of = bytearray([1]) * width + bytearray(width)
+    ev_of = [5] * width + [0] * width
+    forced.write(width, width, rule_of, ev_of)
+    want_rule, want_ev = rule_of[:width] + bytearray(width), ev_of[:width] + [0] * width
+    for h, code, idx in entries:
+        while h:
+            u = (h & -h).bit_length() - 1
+            h &= h - 1
+            want_rule[width + u] = code
+            want_ev[width + u] = idx
+    return (rule_of, ev_of), (want_rule, want_ev)
+
+
 @pytest.mark.parametrize("width", [64, 1 << 16])
 def test_write_forced_decodes_every_bit(width):
     k = width // 16
@@ -683,18 +712,19 @@ def test_write_forced_decodes_every_bit(width):
         list(range(width)),
     ]
     for bits in cases:
-        h = sum(1 << u for u in bits)
-        # the second of two windows, over arrays that already hold a rule
-        rule_of = bytearray([1]) * (2 * width)
-        ev_of = [5] * (2 * width)
-        linkage._write_forced(h, width, rule_of, ev_of, 3, 9)
-        want_rule = bytearray([1]) * (2 * width)
-        want_ev = [5] * (2 * width)
-        for u in bits:
-            want_rule[width + u] = 3
-            want_ev[width + u] = 9
-        assert rule_of == want_rule, bits[:8]
-        assert ev_of == want_ev, bits[:8]
+        got, want = _decode_forced([(sum(1 << u for u in bits), 3, 9)], width)
+        assert got == want, bits[:8]
+
+
+@pytest.mark.parametrize("entries", [255, 256, 1 << 16])
+def test_write_forced_decodes_every_lane_width(entries):
+    # entry numbers of 8, 9 and 17 bits: lanes of 1, 2 and 4 bytes.  Entry
+    # e forces one assignment, scattered over the window, with an index
+    # above a byte
+    width = 1 << 16
+    forced = [(1 << (e * 40503) % width, e % 3 + 1, 300 * e) for e in range(entries)]
+    got, want = _decode_forced(forced, width)
+    assert got == want
 
 
 @st.composite
@@ -716,10 +746,24 @@ def _first_firing_rule(g, v, ctx):
     return None
 
 
-@given(_small_graphs())
+@st.composite
+def _small_unions(draw):
+    # two sides of dimension 5 or less: in a window whose undecided
+    # assignments are even on one side, that side's cycles die
+    sides = []
+    for _ in range(2):
+        n = draw(st.sampled_from([5, 4]))
+        pairs = list(itertools.combinations(range(n), 2))
+        dropped = draw(st.sets(st.sampled_from(pairs), min_size=max(0, len(pairs) - n - 4)))
+        sides.append(Graph.from_edges(n, [e for e in pairs if e not in dropped]))
+    return sides[0].disjoint_union(sides[1])
+
+
+@given(st.one_of(_small_graphs(), _small_unions()))
 @example(load_fixture("k331"))  # rule B fires
 @example(load_fixture("p7"))
 @example(Graph.complete(6))  # rule C fires
+@example(Graph.complete(4).disjoint_union(Graph.complete(5)))
 @settings(max_examples=60, deadline=None)
 def test_sweep_matches_single_shot_rules(g):
     cert = certify(g)
