@@ -34,7 +34,14 @@ window forces are kept as the bit planes of their entry numbers and
 decoded once, when the window is done (`_Forced`): each plane is spread
 to a byte per assignment with ``format`` and ``bytes.translate``, and the
 entry numbers so assembled index the rule codes and table indices that
-go into the per-assignment rule and evidence arrays.
+go into the per-assignment rule and evidence arrays (a bytearray, and an
+``array('I')`` of unsigned ints, which holds no negative index).
+
+`verify_certificate` reads those arrays a window at a time as well, with
+its own window size and parity bitmaps: the window's rule codes and
+evidence indices become bit planes, the assignments citing one piece of
+evidence are the AND of the planes (or their complements) of its key,
+and each such group is checked against that evidence's claim at once.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import itertools
 import json
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
@@ -288,9 +296,18 @@ class RuleContext:
         """The condition table of rule C (code 2) or B (code 3)."""
         return self.c_conditions if code == 2 else self.b_conditions
 
+    def has_entry(self, code: int, idx: int) -> bool:
+        """True when code is 1, 2 or 3 and its table has an entry idx."""
+        if code == 1:
+            return 0 <= idx < len(self.pairs)
+        return code in (2, 3) and idx >= 0 and self.conditions(code)._fill(idx + 1)
+
     def evidence(self, code: int, idx: int):
         """The evidence behind entry idx of a rule's table: a rule-A pair
-        (code 1), a C condition (2) or a B condition (3)."""
+        (code 1), a C condition (2) or a B condition (3).  Raises
+        ValueError for any other code or an idx outside the table."""
+        if not self.has_entry(code, idx):
+            raise ValueError(f"rule code {code} has no evidence {idx}")
         if code == 1:
             i, j = self.pairs[idx]
             return RuleAEvidence(self.cycles[i], self.cycles[j])
@@ -439,10 +456,11 @@ class _Forced:
             e >>= 1
             b += 1
 
-    def write(self, start: int, width: int, rule_of: bytearray, ev_of: list[int]) -> None:
+    def write(self, start: int, width: int, rule_of: bytearray, ev_of: array) -> None:
         """Set rule_of[start + u] and ev_of[start + u], for u < width, to
         the rule code and table index of the entry that forced assignment
-        u, or to 0 when none did.
+        u, or to 0 when none did.  Raises OverflowError for an index that
+        does not fit in ev_of.
 
         Each chunk of assignments gets a lane of 1, 2 or 4 bytes per
         assignment, wide enough for the entry numbers: every plane is spread
@@ -467,7 +485,7 @@ class _Forced:
             lanes = memoryview(buf).cast(typecode)
             s = start + off
             rule_of[s:s + n] = bytes(map(codes.__getitem__, lanes))
-            ev_of[s:s + n] = map(idxs.__getitem__, lanes)
+            ev_of[s:s + n] = array("I", map(idxs.__getitem__, lanes))
 
 
 class _Sweeper:
@@ -496,7 +514,7 @@ class _Sweeper:
             p ^= self.full
         return p
 
-    def sweep(self, win: int, rule_of: bytearray, ev_of: list[int]) -> list[int]:
+    def sweep(self, win: int, rule_of: bytearray, ev_of: array) -> list[int]:
         """Write the rule and evidence index of every assignment of one
         window into rule_of/ev_of (indexed by assignment); return how many
         C and B conditions were examined (the highest index tested + 1).
@@ -585,7 +603,7 @@ class Certificate:
     dim: int
     verdict: str
     rule_of: bytearray        # per assignment: 0 unforced, 1 A, 2 C, 3 B
-    ev_of: list[int]          # per assignment: index into the rule's table
+    ev_of: array              # per assignment (typecode I): index into the rule's table
     counts: dict[str, int]
     unforced: list[int]
     stats: dict[str, int]
@@ -594,7 +612,8 @@ class Certificate:
 
     def evidence(self, assignment: int):
         """The evidence that forced an assignment, None if none did.
-        Raises ValueError for an assignment outside [0, 2^dim)."""
+        Raises ValueError for an assignment outside [0, 2^dim), and for a
+        rule code other than 0-3 or an index outside its rule's table."""
         _check_assignment(assignment, self.dim)
         rule = self.rule_of[assignment]
         return self.ctx.evidence(rule, self.ev_of[assignment]) if rule else None
@@ -637,7 +656,7 @@ def certify(
     sweeper = _Sweeper(ctx, rules)
     total = 1 << ctx.dim
     rule_of = bytearray(total)
-    ev_of = [0] * total
+    ev_of = array("I", [0]) * total
     examined = [0, 0]
     for win in range(1 << (ctx.dim - sweeper.w)):
         x = sweeper.sweep(win, rule_of, ev_of)
@@ -673,6 +692,49 @@ def certify(
 
 
 # -- independent re-validation -------------------------------------------------
+
+# the verifier checks windows of 2^_VERIFY_BITS assignments; the sweep's
+# _WINDOW_BITS is not shared
+_VERIFY_BITS = 16
+# _DIGIT[k] maps a byte to the digit 1 when its bit k is set, else to 0:
+# runs of 2^k zeros and 2^k ones
+_DIGIT = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+# the two bits of a rule code, and the bytes above 3, which are no rule code
+_CODE_DIGITS = (_DIGIT[0], _DIGIT[1], b"0" * 4 + b"1" * 252)
+
+
+def _planes(data: bytes, tables: Iterable[bytes]) -> list[int]:
+    """One bitmap per table: bit u is the digit the table maps data[u] to."""
+    planes = []
+    for table in tables:
+        digits = data.translate(table)
+        planes.append(int(digits[::-1], 2) if b"1" in digits else 0)
+    return planes
+
+
+def _index_planes(idxs: array) -> list[int]:
+    """The bit planes of idxs: bit u of plane j is bit j of idxs[u], up to
+    the highest plane that is not 0.  Each byte lane of the array gives
+    eight planes, a lane of zeros eight zeros."""
+    raw, size = idxs.tobytes(), idxs.itemsize
+    planes: list[int] = []
+    for k in range(size):
+        lane = raw[k if sys.byteorder == "little" else size - 1 - k::size]
+        planes += _planes(lane, _DIGIT) if lane.strip(b"\0") else [0] * 8
+    while planes and not planes[-1]:
+        planes.pop()
+    return planes
+
+
+def _parity_bitmap(c: int, w: int) -> int:
+    """Bitmap of the u < 2^w at which u & c has odd parity, by doubling:
+    the upper half of each span is its lower half, flipped when c has the
+    span's bit."""
+    bm = 0
+    for i in range(w):
+        span = 1 << i
+        bm |= (bm ^ ((1 << span) - 1) if c >> i & 1 else bm) << span
+    return bm
 
 
 class _IndependentEvaluator:
@@ -828,7 +890,7 @@ def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
 
 def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -> int:
     """Re-check every forced assignment (or those in sample) against its
-    evidence; return the number checked.
+    evidence; return the number checked, counting repeats in sample.
 
     Each distinct piece of evidence, as `Certificate.evidence` gives it, is
     checked once by `_evidence_claim`: its structure (simple disjoint
@@ -836,34 +898,79 @@ def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -
     contract onto their pattern cycles) and the coefficient vectors of its
     cycles, found by fresh elimination over the fundamental basis (no
     signature shortcut).  Every assignment citing it must then give each
-    vector the wanted parity.  Raises ModelInvalid on the first failure,
-    and ValueError, before checking any, if sample holds an assignment
-    outside [0, 2^dim).
+    vector the wanted parity.
+
+    Assignments are checked one window of 2^`_VERIFY_BITS` at a time.  The
+    window's rule codes and evidence indices become bit planes (bit u of a
+    plane is one bit of the key of assignment u), and the assignments
+    citing the key of the lowest one left are the AND of its planes and
+    complements; they are peeled off together and checked against the
+    key's claim by parity bitmaps from `_parity_bitmap`.
+
+    Raises ModelInvalid on a failure, and for a rule code other than 0-3
+    or an index outside its rule's table; raises ValueError, before
+    checking any, if sample holds an assignment outside [0, 2^dim).
     """
+    dim = cert.dim
+    w = min(dim, _VERIFY_BITS)
+    width = 1 << w
+    full = (1 << width) - 1
+    repeats: list[int] = []
     if sample is None:
-        sample = range(1 << cert.dim)
+        selected = dict.fromkeys(range(1 << (dim - w)), full)
     else:
         sample = list(sample)
         for v in sample:
-            _check_assignment(v, cert.dim)
-    g = cert.graph
+            _check_assignment(v, dim)
+        marks: dict[int, bytearray] = {}
+        for v in sample:
+            buf = marks.get(v >> w)
+            if buf is None:
+                buf = marks[v >> w] = bytearray((width + 7) >> 3)
+            u = v & (width - 1)
+            if buf[u >> 3] >> (u & 7) & 1:
+                repeats.append(v)
+            buf[u >> 3] |= 1 << (u & 7)
+        selected = {win: int.from_bytes(buf, "little") for win, buf in sorted(marks.items())}
+    g, ctx, rule_of, ev_of = cert.graph, cert.ctx, cert.rule_of, cert.ev_of
     ev = _IndependentEvaluator(g)
     claims: dict[tuple[int, int], tuple[tuple[int, ...], int, str]] = {}
     checked = 0
-    for v in sample:
-        rule = cert.rule_of[v]
-        if not rule:
-            continue
-        key = (rule, cert.ev_of[v])
-        claim = claims.get(key)
-        if claim is None:
-            claim = claims[key] = _evidence_claim(g, ev, cert.evidence(v))
-        vectors, want, message = claim
-        for c in vectors:
-            if (c & v).bit_count() & 1 != want:
-                raise ModelInvalid(f"{message} at {v}")
-        checked += 1
-    return checked
+    for win, sel in selected.items():
+        start = win << w
+        *code_planes, bad = _planes(rule_of[start:start + width], _CODE_DIGITS)
+        bad &= sel
+        if bad:
+            v = start + (bad & -bad).bit_length() - 1
+            raise ModelInvalid(f"rule code {rule_of[v]} is not 1, 2 or 3 at {v}")
+        planes = code_planes + _index_planes(ev_of[start:start + width])
+        complements = [p ^ full for p in planes]
+        left = (code_planes[0] | code_planes[1]) & sel
+        while left:
+            v = start + (left & -left).bit_length() - 1
+            key = (rule_of[v], ev_of[v])
+            # bit b of the key selects plane b where set, its complement where not
+            group, bits = left, key[0] | key[1] << 2
+            for plane, complement in zip(planes, complements):
+                group &= plane if bits & 1 else complement
+                bits >>= 1
+            left ^= group
+            claim = claims.get(key)
+            if claim is None:
+                if not ctx.has_entry(*key):
+                    raise ModelInvalid(f"rule code {key[0]} has no evidence {key[1]} at {v}")
+                claim = claims[key] = _evidence_claim(g, ev, cert.evidence(v))
+            vectors, want, message = claim
+            for c in vectors:
+                # the assignments of the group at which c has the wrong parity
+                wrong = _parity_bitmap(c, w)
+                if ((c >> w & win).bit_count() ^ want) & 1:
+                    wrong ^= full
+                wrong &= group
+                if wrong:
+                    raise ModelInvalid(f"{message} at {start + (wrong & -wrong).bit_length() - 1}")
+            checked += group.bit_count()
+    return checked + sum(1 for v in repeats if rule_of[v])
 
 
 # -- minimality scans -----------------------------------------------------------

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +37,7 @@ from rp3link import (
 )
 from rp3link import is_minor, linkage, minors
 from rp3link.config import Limits
-from rp3link.errors import DimensionExceeded, SizeExceeded
+from rp3link.errors import DimensionExceeded, ModelInvalid, SizeExceeded
 from rp3link.homology import cycle_vertices
 from rp3link.minors import MinorModel
 
@@ -335,6 +337,43 @@ def test_certificate_verification_catches_tampered_model_evidence(graph, rules, 
     assert verify_certificate(cert, sample=[v]) == 1
 
 
+@pytest.mark.parametrize(
+    "code, idx, message",
+    [
+        (7, None, "rule code 7"),
+        (255, None, "rule code 255"),
+        # K44-e has no K6 minor: the rule-C table is empty
+        (2, 0, "no evidence 0"),
+        (3, "end", "no evidence"),
+        (1, "end", "no evidence"),
+    ],
+)
+def test_forged_rule_codes_and_indices_are_rejected(k44e, code, idx, message):
+    cert = certify(k44e, rules="AB")
+    v = cert.rule_of.index(3, 1)
+    assert verify_certificate(cert, sample=[v]) == 1
+    table = cert.ctx.pairs if code == 1 else cert.ctx.conditions(code)
+    cert.rule_of[v] = code
+    if idx is not None:
+        cert.ev_of[v] = len(table) if idx == "end" else idx
+    with pytest.raises(ValueError, match="rule code"):
+        cert.evidence(v)
+    for sample in ([v], [0, v], None):
+        with pytest.raises(ModelInvalid, match=message):
+            verify_certificate(cert, sample=sample)
+
+
+def test_negative_evidence_indices_are_rejected(k44e):
+    cert = certify(k44e, rules="AB")
+    v = cert.rule_of.index(3, 1)
+    # ev_of holds unsigned ints: -1 does not wrap to the last condition
+    with pytest.raises(OverflowError):
+        cert.ev_of[v] = -1
+    for code in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"rule code {code} has no evidence -1"):
+            cert.ctx.evidence(code, -1)
+
+
 def test_assignments_outside_the_sweep_are_rejected(k6):
     cert = certify(k6)
     for v in (-1, -5, 1 << cert.dim):
@@ -484,7 +523,8 @@ def test_certificates_and_conditions_pinned(name):
 
 
 def _evidence_sha(cert) -> str:
-    return hashlib.sha256(bytes(cert.rule_of) + repr(cert.ev_of).encode()).hexdigest()
+    # ev_of is an array('I'); the pins hash the repr of its list of ints
+    return hashlib.sha256(bytes(cert.rule_of) + repr(list(cert.ev_of)).encode()).hexdigest()
 
 
 def _json_sha_without_stats(cert) -> str:
@@ -494,7 +534,7 @@ def _json_sha_without_stats(cert) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of bytes(rule_of) + repr(ev_of), and of the certificate JSON minus
+# sha256 of bytes(rule_of) + repr(list(ev_of)), and of the certificate JSON minus
 # stats; pinned before models and conditions were generated on demand
 _EVIDENCE = {
     "K6(01)+K331(02)": (
@@ -688,9 +728,9 @@ def _decode_forced(entries, width):
     for h, code, idx in entries:
         forced.add(h, code, idx)
     rule_of = bytearray([1]) * width + bytearray(width)
-    ev_of = [5] * width + [0] * width
+    ev_of = array("I", [5]) * width + array("I", [0]) * width
     forced.write(width, width, rule_of, ev_of)
-    want_rule, want_ev = rule_of[:width] + bytearray(width), ev_of[:width] + [0] * width
+    want_rule, want_ev = rule_of[:width] + bytearray(width), ev_of[:width] + array("I", [0]) * width
     for h, code, idx in entries:
         while h:
             u = (h & -h).bit_length() - 1
@@ -725,6 +765,15 @@ def test_write_forced_decodes_every_lane_width(entries):
     forced = [(1 << (e * 40503) % width, e % 3 + 1, 300 * e) for e in range(entries)]
     got, want = _decode_forced(forced, width)
     assert got == want
+
+
+def test_write_forced_rejects_an_index_wider_than_ev_of():
+    forced = linkage._Forced()
+    forced.add(0b110, 1, 1 << 32)
+    ev_of = array("I", [0]) * 64
+    with pytest.raises(OverflowError):
+        forced.write(0, 64, bytearray(64), ev_of)
+    assert not any(ev_of)
 
 
 @st.composite
@@ -775,3 +824,82 @@ def test_sweep_matches_single_shot_rules(g):
         want = _first_firing_rule(g, v, cert.ctx)
         assert cert.evidence(v) == want, v
         assert split.evidence(v) == want, v
+
+
+def _per_assignment_verify(cert, sample=None) -> int:
+    """The per-assignment loop that the windowed verifier replaced, kept as
+    its reference: each key's claim is found once, then every assignment's
+    parities are checked one at a time."""
+    if sample is None:
+        sample = range(1 << cert.dim)
+    else:
+        sample = list(sample)
+        for v in sample:
+            linkage._check_assignment(v, cert.dim)
+    g = cert.graph
+    ev = linkage._IndependentEvaluator(g)
+    claims = {}
+    checked = 0
+    for v in sample:
+        rule = cert.rule_of[v]
+        if not rule:
+            continue
+        key = (rule, cert.ev_of[v])
+        claim = claims.get(key)
+        if claim is None:
+            if not cert.ctx.has_entry(*key):
+                raise ModelInvalid(f"no evidence {key} at {v}")
+            claim = claims[key] = linkage._evidence_claim(g, ev, cert.evidence(v))
+        vectors, want, message = claim
+        for c in vectors:
+            if (c & v).bit_count() & 1 != want:
+                raise ModelInvalid(f"{message} at {v}")
+        checked += 1
+    return checked
+
+
+def _verdict(verify, cert, sample):
+    try:
+        return verify(cert, sample)
+    except ModelInvalid:
+        return "ModelInvalid"
+
+
+@given(
+    st.one_of(
+        st.sampled_from([
+            load_fixture("k331"),  # rule B fires
+            Graph.complete(6),  # rule C fires
+            Graph.complete(4).disjoint_union(Graph.complete(5)),
+        ]),
+        _small_graphs(),
+        _small_unions(),
+    ),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_windowed_verifier_matches_per_assignment_loop(g, data):
+    cert = certify(g)
+    n = 1 << cert.dim
+    forced = [v for v in range(n) if cert.rule_of[v]]
+    assert verify_certificate(cert) == len(forced)
+    # tamper with the keys of a few forced assignments: another rule code
+    # (0 unforces) with the same index, or one bit of the index flipped
+    rule_of, ev_of = bytearray(cert.rule_of), array("I", cert.ev_of)
+    touched = data.draw(st.lists(st.sampled_from(forced), max_size=3)) if forced else []
+    top = max(ev_of).bit_length()
+    for v in touched:
+        if data.draw(st.booleans()):
+            rule_of[v] = data.draw(st.sampled_from([c for c in range(4) if c != rule_of[v]]))
+        else:
+            ev_of[v] ^= 1 << data.draw(st.integers(0, top))
+    tampered = dataclasses.replace(cert, rule_of=rule_of, ev_of=ev_of)
+    # unsorted, with repeats, through the tampered assignments
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    sample = data.draw(st.permutations(touched + extra + extra[:3] + touched[:1]))
+    with pytest.MonkeyPatch.context() as mp:
+        # windows of 8 assignments: many windows, keys that span several
+        mp.setattr(linkage, "_VERIFY_BITS", 3)
+        for c in (cert, tampered):
+            for s in (None, sample):
+                assert _verdict(verify_certificate, c, s) == _verdict(_per_assignment_verify, c, s)
