@@ -47,6 +47,11 @@ class CycleSpace:
         self.tree_mask = tree_mask
         self.nontree = [i for i in range(g.m) if not (tree_mask >> i) & 1]
         self.dim = len(self.nontree)
+        self._nontree_mask = ((1 << g.m) - 1) & ~tree_mask
+        # edge index -> bit of its position in nontree (0 for tree edges)
+        self._sig_bit = [0] * g.m
+        for pos, ei in enumerate(self.nontree):
+            self._sig_bit[ei] = 1 << pos
 
         # tree paths to component roots, as edge masks
         path = [0] * g.n
@@ -77,10 +82,13 @@ class CycleSpace:
 
     def signature(self, mask: int) -> int:
         """Coordinates of a cycle-space member over the fundamental basis."""
+        bit = self._sig_bit
         sig = 0
-        for pos, ei in enumerate(self.nontree):
-            if (mask >> ei) & 1:
-                sig |= 1 << pos
+        m = mask & self._nontree_mask
+        while m:
+            lsb = m & -m
+            sig |= bit[lsb.bit_length() - 1]
+            m ^= lsb
         return sig
 
 
@@ -100,38 +108,42 @@ def all_simple_cycles(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[int, .
 
     Rooted search: a cycle is generated from its smallest vertex, walking
     only through larger vertices, with the direction fixed by requiring the
-    second vertex to be smaller than the last.
+    second vertex to be smaller than the last.  At each vertex the closing
+    edge back to the root is tried first, then the unvisited neighbours
+    above the root in ascending order.
     """
     if g.n > limits.max_vertices:
         raise SizeExceeded(f"{g.n} vertices exceeds bound {limits.max_vertices}")
     out: list[int] = []
     adj = g.adj
-    eidx = g.edge_index
+    n = g.n
+    ebit = [0] * (n * n)  # ebit[u * n + v]: the bit of edge uv
+    for (u, v), ei in g.edge_index.items():
+        ebit[u * n + v] = ebit[v * n + u] = 1 << ei
 
     def walk(root: int, v: int, visited: int, path_edges: int, second: int) -> None:
-        for u in g.neighbors(v):
-            if u == root:
-                if (visited.bit_count() >= 3) and second < v:
-                    out.append(path_edges | (1 << eidx[(root, v) if root < v else (v, root)]))
-                    if len(out) > limits.max_cycles:
-                        raise SizeExceeded("cycle enumeration cutoff hit")
-                continue
-            if u < root or (visited >> u) & 1:
-                continue
-            walk(
-                root,
-                u,
-                visited | (1 << u),
-                path_edges | (1 << eidx[(u, v) if u < v else (v, u)]),
-                second,
-            )
+        a = adj[v]
+        # second < v: the path has three vertices and runs one way round
+        if (a >> root) & 1 and second < v:
+            out.append(path_edges | ebit[root * n + v])
+            if len(out) > limits.max_cycles:
+                raise SizeExceeded("cycle enumeration cutoff hit")
+        nxt = a & ~visited
+        row = v * n
+        while nxt:
+            lsb = nxt & -nxt
+            nxt ^= lsb
+            u = lsb.bit_length() - 1
+            walk(root, u, visited | lsb, path_edges | ebit[row + u], second)
 
-    for root in range(g.n):
-        for second in g.neighbors(root):
-            if second <= root:
-                continue
-            walk(root, second, (1 << root) | (1 << second),
-                 1 << eidx[(root, second)], second)
+    for root in range(n):
+        below = (2 << root) - 1  # the root and every smaller vertex
+        nxt = adj[root] & ~below
+        while nxt:
+            second = nxt & -nxt
+            nxt ^= second
+            s = second.bit_length() - 1
+            walk(root, s, below | second, ebit[root * n + s], s)
     return tuple(out)
 
 

@@ -273,9 +273,12 @@ class RuleContext:
         vertices pulls back to zero through the model.  Its vectors are the
         `_rref` of the signatures of the lifts of a cycle basis of that
         subgraph; lift is linear, so each is the XOR of the signatures of
-        the edge lifts along its cycle, computed once per model.
+        the edge lifts along its cycle, computed once per model.  A vector
+        tuple met before spans the same space, so its key is already seen
+        and it is skipped without `_rref`.
         """
         seen: set[tuple[int, ...]] = set()
+        seen_raw: set[tuple[int, ...]] = set()
         for name, member, models, kept_sets in jobs:
             bases = [_kept_basis(member, kept) for _, kept in kept_sets]
             for mi, model in enumerate(models):
@@ -287,7 +290,11 @@ class RuleContext:
                         for pi in cycle:
                             x ^= sigs[pi]
                         vecs.append(x)
-                    key = _rref(vecs)
+                    raw = tuple(vecs)
+                    if raw in seen_raw:
+                        continue
+                    seen_raw.add(raw)
+                    key = _rref(raw)
                     if key not in seen:
                         seen.add(key)
                         yield key, name, mi, label

@@ -15,6 +15,12 @@ of order <= 3, where a 3-cut that splits off a single vertex is skipped:
 its pieces are K4 and the host's wye-delta, which is no minor of the host.
 A pattern found on some piece is enumerated on the whole host, so the
 models and their order do not depend on the shortcut.
+
+The backtracking search looks ahead by edge count.  The pattern edges among
+the vertices not yet placed join disjoint branch sets inside the pool of
+free host vertices, each through its own host edge, so a branch set is only
+formed while the pool it leaves holds at least that many host edges.  The
+condition is necessary, so no subtree that holds a model is cut.
 """
 
 from __future__ import annotations
@@ -245,6 +251,14 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
     and by the vertex/edge budgets.  Models differing only by a pattern
     automorphism are emitted once (lex-leader pruning); all edge-map choices
     are emitted, since distinct mapped edges lift cycles differently.
+
+    Look-ahead: every pattern edge between two vertices placed after depth i
+    needs a distinct host edge between their branch sets, which lie inside
+    the pool left after depth i.  A candidate set at depth i is therefore
+    grown and kept only while that pool holds at least as many host edges
+    as the pattern has among order[i + 1:].  Removing vertices from the pool
+    never adds edges to it, so a set that fails the count has no superset
+    that passes, and its growth stops there without losing a model.
     """
     # most-constrained-next static order: maximize placed neighbours, then degree
     order: list[int] = []
@@ -284,6 +298,9 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
         later = sum(1 << p for p in order[i + 1:])
         owed = [(d, (padj[order[d]] & later).bit_count()) for d in range(i)]
         pendings.append([(d, c) for d, c in owed if c])
+    # the pattern edges among the vertices placed after depth i, which need
+    # distinct host edges inside the pool left after depth i
+    inners = [sum(futures[i + 1:]) for i in range(n)]
     # Lex-leader pruning: a model is kept only if no automorphism sigma maps
     # it to a lexicographically smaller one, comparing the branch set at
     # depth pos[sigma[order[j]]] with the one at depth j for j = 0, 1, ...
@@ -309,7 +326,9 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
 
     branch = [0] * n  # depth -> host mask of the branch set placed there
 
-    def place(i: int, used: int, spent_v: int, spent_e: int) -> Iterator[list[int]]:
+    def place(
+        i: int, used: int, spent_v: int, spent_e: int, pool_e: int
+    ) -> Iterator[list[int]]:
         if i == n:
             yield branch
             return
@@ -327,6 +346,7 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
             req_union |= r
         cap = 1 + min(extra_v - spent_v, extra_e - spent_e)
         future = futures[i]
+        inner = inners[i]
         pending = [(branch[d], c) for d, c in pendings[i]]
         if req:
             # branch set must touch the neighbourhood of a placed neighbour;
@@ -342,27 +362,30 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
                 return
         else:
             seeds = avail
-        found: list[int] = []
+        found: list[tuple[int, int]] = []
 
-        def grow(sub, size, ext, banned, allowed, nbhd, fut, bnd):
+        def grow(sub, size, ext, banned, allowed, nbhd, fut, bnd, left):
             # Connected subsets of `allowed` through `sub`, each exactly once:
             # sub itself, then each extension by a vertex of ext, banning the
             # vertices extended by earlier siblings.  fut counts the edges from
             # sub into the rest of the pool and bnd adds those into the placed
             # neighbours; a vertex v with adjacency a joining sub adds
             # |a & avail| - 2|a & sub| to both (its edges into sub stop
-            # counting from either side) and |a & req_union| to bnd.  A subset
-            # is kept when it has an edge for every pattern edge at depth i,
-            # enough edges for the neighbours still to place, and touches
-            # every placed neighbour.  A subset that reaches the size cap
-            # without a vertex of `high` would fail the lex-leader test, so
-            # it is not grown.
+            # counting from either side) and |a & req_union| to bnd.  left
+            # counts the edges inside the rest of the pool; v takes its
+            # |a & avail| - |a & sub| edges into that rest away from it.  A
+            # subset is kept when it has an edge for every pattern edge at
+            # depth i, enough edges for the neighbours still to place, and
+            # touches every placed neighbour.  Only subsets that leave at
+            # least `inner` edges in the pool are formed: left only falls as
+            # sub grows.  A subset that reaches the size cap without a vertex
+            # of `high` would fail the lex-leader test, so it is not grown.
             if bnd >= deg_p and fut >= future:
                 for r in req:
                     if not nbhd & r:
                         break
                 else:
-                    found.append(sub)
+                    found.append((sub, left))
             if size >= cap:
                 return
             banned_sub = sub | banned
@@ -372,12 +395,15 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
                 lsb = e & -e
                 e ^= lsb
                 a = hadj[lsb.bit_length() - 1]
-                d = (a & avail).bit_count() - 2 * (a & sub).bit_count()
-                grow(
-                    sub | lsb, size + 1,
-                    (ext | (a & allowed)) & ~(banned_sub | lsb), banned,
-                    allowed, nbhd | a, fut + d, bnd + d + (a & req_union).bit_count(),
-                )
+                inside = (a & sub).bit_count()
+                d = (a & avail).bit_count() - inside
+                if left - d >= inner:
+                    grow(
+                        sub | lsb, size + 1,
+                        (ext | (a & allowed)) & ~(banned_sub | lsb), banned,
+                        allowed, nbhd | a, fut + d - inside,
+                        bnd + d - inside + (a & req_union).bit_count(), left - d,
+                    )
                 banned |= lsb
                 banned_sub |= lsb
 
@@ -389,8 +415,10 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
             # exclude smaller seeds so each subset appears once
             allowed = avail & ~(seeds & (lsb - 1))
             d = (a & avail).bit_count()
-            grow(lsb, 1, a & allowed & ~lsb, 0, allowed, a, d, d + (a & req_union).bit_count())
-        for sub in found:
+            if pool_e - d >= inner:
+                grow(lsb, 1, a & allowed & ~lsb, 0, allowed, a, d,
+                     d + (a & req_union).bit_count(), pool_e - d)
+        for sub, left in found:
             branch[i] = sub
             for k, j in checks[i]:
                 if branch[k] < branch[j]:
@@ -408,9 +436,11 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
                         break
                 else:
                     size = sub.bit_count()
-                    yield from place(i + 1, used | sub, spent_v + size - 1, spent_e + size - 1)
+                    yield from place(
+                        i + 1, used | sub, spent_v + size - 1, spent_e + size - 1, left
+                    )
 
-    for placed in place(0, 0, 0, 0):
+    for placed in place(0, 0, 0, 0, host.m):
         assignment = [placed[pos[p]] for p in range(n)]
         sets = tuple(
             tuple(v for v in range(host.n) if (assignment[p] >> v) & 1)

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rp3link import (
     Graph,
@@ -21,8 +23,8 @@ from rp3link import (
     pullback,
     restrict,
 )
-from rp3link.config import Limits
-from rp3link.errors import DimensionExceeded, NotACycle
+from rp3link.config import DEFAULT_LIMITS, Limits
+from rp3link.errors import DimensionExceeded, NotACycle, SizeExceeded
 from rp3link.graphs import norm_edge
 from rp3link.homology import cycle_vertices
 from rp3link.minors import enumerate_minor_models
@@ -311,3 +313,73 @@ def test_serial_round_trip(k44e):
 def test_cycle_vertices(k33):
     for c in all_simple_cycles(k33):
         assert cycle_vertices(k33, c).bit_count() == c.bit_count()
+
+
+# -- reference loops for the signature and the cycle walk ---------------------
+
+
+def _signature_by_positions(cs, mask: int) -> int:
+    """Reference: test every fundamental-basis position of the mask."""
+    sig = 0
+    for pos, ei in enumerate(cs.nontree):
+        if (mask >> ei) & 1:
+            sig |= 1 << pos
+    return sig
+
+
+def _cycles_by_neighbors(g: Graph, limits: Limits) -> tuple[int, ...]:
+    """Reference: the rooted walk over Graph.neighbors tuples, in its order."""
+    out: list[int] = []
+    eidx = g.edge_index
+
+    def walk(root, v, visited, path_edges, second):
+        for u in g.neighbors(v):
+            if u == root:
+                if visited.bit_count() >= 3 and second < v:
+                    out.append(path_edges | (1 << eidx[norm_edge(root, v)]))
+                    if len(out) > limits.max_cycles:
+                        raise SizeExceeded("cycle enumeration cutoff hit")
+                continue
+            if u < root or (visited >> u) & 1:
+                continue
+            walk(root, u, visited | (1 << u), path_edges | (1 << eidx[norm_edge(u, v)]), second)
+
+    for root in range(g.n):
+        for second in g.neighbors(root):
+            if second > root:
+                walk(root, second, (1 << root) | (1 << second),
+                     1 << eidx[(root, second)], second)
+    return tuple(out)
+
+
+@st.composite
+def _graphs_up_to_8(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))) if pairs else [])
+
+
+@given(_graphs_up_to_8(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_signature_matches_the_per_position_loop(g, data):
+    cs = cycle_space(g)
+    # arbitrary edge masks, tree bits included, and every simple cycle
+    masks = data.draw(st.lists(st.integers(0, (1 << g.m) - 1), max_size=20))
+    for mask in [*masks, cs.tree_mask, *all_simple_cycles(g)]:
+        assert cs.signature(mask) == _signature_by_positions(cs, mask)
+
+
+@given(_graphs_up_to_8(), st.integers(1, 200))
+@settings(max_examples=150, deadline=None)
+def test_simple_cycles_in_the_order_of_the_neighbor_walk(g, cap):
+    # patterns.py reads the sequence unsorted, so the order is part of the API
+    assert all_simple_cycles(g) == _cycles_by_neighbors(g, DEFAULT_LIMITS)
+    # a low cutoff raises in both or in neither
+    small = Limits(max_cycles=cap)
+    try:
+        expected = _cycles_by_neighbors(g, small)
+    except SizeExceeded:
+        with pytest.raises(SizeExceeded):
+            all_simple_cycles(g, small)
+    else:
+        assert all_simple_cycles(g, small) == expected

@@ -25,6 +25,7 @@ from rp3link import (
     cycle_space,
     evaluate,
     glue_pair,
+    lift,
     load_fixture,
     minimality_scan,
     petersen_family,
@@ -520,6 +521,49 @@ def test_certificates_and_conditions_pinned(name):
     assert _sha([key for key, _, _, _ in ctx.b_conditions]) == b_sha
     assert {member: len(ms) for member, ms in ctx.b_models.items()} == models
     assert ctx.b_models["K6"] is ctx.c_models
+
+
+def _conditions_with_rref_on_every_tuple(ctx, jobs) -> tuple[list, int]:
+    """Reference for RuleContext._conditions: each kept subgraph's basis
+    cycles are lifted through homology.lift, and every vector tuple goes
+    through _rref, repeated or not.  Also returns how many tuples repeat."""
+    seen, out, raw, repeats = set(), [], set(), 0
+    for name, member, models, kept_sets in jobs:
+        for mi, model in enumerate(models):
+            for label, kept in kept_sets:
+                sub = member.induced_subgraph(kept)
+                vecs = tuple(
+                    ctx.cs.signature(lift(model, member.edge_mask(
+                        (kept[a], kept[b]) for a, b in sub.edges_of_mask(bmask))))
+                    for bmask in cycle_space(sub).basis
+                )
+                repeats += vecs in raw
+                raw.add(vecs)
+                key = linkage._rref(vecs)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((key, name, mi, label))
+    return out, repeats
+
+
+def test_condition_tables_match_rref_on_every_tuple():
+    # The one-step minors of K7-2adj are UNDECIDED, so certify reads their
+    # condition tables in full; the tables skip _rref for a vector tuple
+    # seen before, and must equal a reference that never skips.
+    k6 = petersen_family().members["K6"]
+    quads = [(quad, quad) for quad in itertools.combinations(range(6), 4)]
+    g = _golden_graph("K7-2adj")
+    repeats = 0
+    for u, v in g.edges:
+        for minor in (g.delete_edge(u, v), g.contract_edge(u, v)):
+            ctx = linkage.RuleContext(minor)
+            c_ref, c_repeats = _conditions_with_rref_on_every_tuple(
+                ctx, [("K6", k6, ctx.c_models, quads)])
+            b_ref, b_repeats = _conditions_with_rref_on_every_tuple(ctx, ctx._b_jobs())
+            assert list(ctx.c_conditions) == c_ref
+            assert list(ctx.b_conditions) == b_ref
+            repeats += c_repeats + b_repeats
+    assert repeats > 500  # the skip is exercised (969 repeated tuples)
 
 
 def _evidence_sha(cert) -> str:

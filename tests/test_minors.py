@@ -555,3 +555,44 @@ def test_search_grows_only_subsets_that_can_pass_the_lex_leader_test():
     finally:
         sys.setprofile(None)
     assert checked > 1000
+
+
+def test_search_leaves_the_pool_enough_edges_for_the_unplaced_vertices():
+    # Like the two tests above, this catches a pruning that is too loose,
+    # which changes no model, only the work.  White-box: the pattern edges
+    # among the vertices still to place need distinct host edges between
+    # disjoint branch sets inside the pool, so at each place() frame below
+    # the root the pool must hold at least that many host edges.
+    hosts = [_stream_host(name) for name in ("K7-2nonadj", "K6t~K6t:contract:0", "random:12")]
+    frames = set()
+    checked = 0
+
+    def watch(frame, event, arg):
+        nonlocal checked
+        if event != "call" or frame.f_code.co_name != "place" or frame in frames:
+            return
+        frames.add(frame)
+        f = frame.f_locals
+        if f["i"] == 0:
+            return
+        outer = frame.f_back
+        while outer.f_code.co_name != "_backtrack_models":
+            outer = outer.f_back
+        order, padj = outer.f_locals["order"], outer.f_locals["pattern"].adj
+        unplaced = sum(1 << p for p in order[f["i"]:])
+        owed = sum((padj[p] & unplaced).bit_count() for p in order[f["i"]:]) // 2
+        adj = f["hadj"]
+        pool = ~f["used"] & ((1 << len(adj)) - 1)
+        held = sum((adj[v] & pool).bit_count() for v in range(len(adj)) if (pool >> v) & 1) // 2
+        assert held >= owed
+        checked += 1
+
+    sys.setprofile(watch)
+    try:
+        for host in hosts:
+            for pattern in petersen_family().members.values():
+                for _ in _backtrack_models(host, pattern):
+                    pass
+    finally:
+        sys.setprofile(None)
+    assert checked > 1000
