@@ -22,7 +22,6 @@ from rp3link import (
     build_catalog,
     certify,
     g6_to_graph,
-    petersen_family,
     sporadic_graphs,
     therefore_family,
 )
@@ -34,13 +33,12 @@ def main() -> int:
     ap.add_argument("--k", type=int, nargs="*", default=[0, 1, 2])
     args = ap.parse_args()
 
-    fam = petersen_family()
     rng = random.Random(0)
     failures = []
 
     batches = []
     for k in args.k:
-        rep = build_catalog(k, fam)
+        rep = build_catalog(k)
         entries = [(f"k{k}:{e.provenance}", g6_to_graph(e.code_g6)) for e in rep.entries]
         if args.sample:
             entries = rng.sample(entries, min(args.sample, len(entries)))

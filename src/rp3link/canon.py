@@ -189,13 +189,9 @@ def canonical_graph(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Graph:
     return g.relabel(inv)
 
 
-def automorphism_generators(
-    g: Graph, colors: list[int] | None = None, limits: Limits = DEFAULT_LIMITS
-) -> list[Perm]:
+def automorphism_generators(g: Graph, limits: Limits = DEFAULT_LIMITS) -> list[Perm]:
     _check_size(g, limits)
-    init = list(colors) if colors is not None else [0] * g.n
-    _, _, gens = _search(g.adj, g.n, init)
-    return gens
+    return _search(g.adj, g.n, [0] * g.n)[2]
 
 
 def _compose(f: Perm, g: Perm) -> Perm:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .canon import canonical_graph, orbits
-from .config import DEFAULT_LIMITS, Limits, limits_from_env
+from .config import limits_from_env
 from .families import (
     build_catalog,
     grand_total,
@@ -26,20 +25,6 @@ from .io_formats import graph_to_g6, load_graph_records, parse_graph_file
 from .linkage import certify, minimality_scan, parse_rules
 from .minors import is_minor
 from .patterns import k33_census
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    rules: str = "ABC"
-    format: str = "text"
-    expect: str = "none"
-    obstructions: str | None = None
-    limits: Limits = DEFAULT_LIMITS
-
-    def __post_init__(self) -> None:
-        if self.expect not in ("certified", "undecided", "none"):
-            raise ValueError(f"bad expectation {self.expect!r}")
-        parse_rules(self.rules)
 
 
 def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
@@ -54,20 +39,20 @@ def _load(path: str) -> Graph:
     return g.graph if isinstance(g, MarkedGraph) else g
 
 
-def _cmd_petersen(cfg: RunConfig, args) -> int:
+def _cmd_petersen(args) -> int:
     fam = petersen_family()
     doc = {name: graph_to_g6(canonical_graph(g)) for name, g in fam.members.items()}
     _emit(
         {"members": doc, "projective_planar": sorted(fam.projective_planar)},
-        cfg.format,
+        args.format,
         [f"{name}\t{g6}" for name, g6 in doc.items()],
     )
     return 0
 
 
-def _cmd_orbits(cfg: RunConfig, args) -> int:
+def _cmd_orbits(args) -> int:
     g = _load(args.graph)
-    table = orbits(g, cfg.limits)
+    table = orbits(g, args.limits)
     doc = {
         "vertex_classes": table.vertex_class_count,
         "pair_classes": table.pair_class_count,
@@ -84,42 +69,42 @@ def _cmd_orbits(cfg: RunConfig, args) -> int:
     ]
     for i, orb in enumerate(table.pair_orbits):
         lines.append(f"  pair orbit {i}: vfn={table.vfn[i]} rep={orb[0]} size={len(orb)}")
-    _emit(doc, cfg.format, lines)
+    _emit(doc, args.format, lines)
     return 0
 
 
-def _cmd_patterns(cfg: RunConfig, args) -> int:
+def _cmd_patterns(args) -> int:
     census = k33_census()
     _emit(
         {"census": census, "total": sum(census.values())},
-        cfg.format,
+        args.format,
         [f"{k}\t{v}" for k, v in census.items()] + [f"total\t{sum(census.values())}"],
     )
     return 0
 
 
-def _cmd_minor(cfg: RunConfig, args) -> int:
+def _cmd_minor(args) -> int:
     h = _load(args.pattern)
     g = _load(args.host)
-    model = is_minor(h, g, cfg.limits)
+    model = is_minor(h, g, args.limits)
     doc = {"minor": model is not None}
     lines = [f"minor: {model is not None}"]
     if model is not None:
         doc["branch_sets"] = [list(b) for b in model.branch_sets]
         lines.append(f"branch sets: {model.branch_sets}")
-    _emit(doc, cfg.format, lines)
+    _emit(doc, args.format, lines)
     return 0
 
 
-def _expect_exit(cfg: RunConfig, verdict: str) -> int:
-    if cfg.expect == "none":
+def _expect_exit(args, verdict: str) -> int:
+    if args.expect == "none":
         return 0
-    return 0 if verdict.lower() == cfg.expect else 2
+    return 0 if verdict.lower() == args.expect else 2
 
 
-def _cmd_certify(cfg: RunConfig, args) -> int:
+def _cmd_certify(args) -> int:
     g = _load(args.graph)
-    cert = certify(g, rules=cfg.rules, limits=cfg.limits)
+    cert = certify(g, rules=args.rules, limits=args.limits)
     doc = cert.report_dict(include_timing=not args.no_timing)
     lines = [
         f"graph:     {cert.canon_g6}",
@@ -138,13 +123,13 @@ def _cmd_certify(cfg: RunConfig, args) -> int:
         lines.append("over-approximates embedding-realizable assignments.")
     if not args.no_timing:
         lines.append(f"wall time: {cert.wall_time:.3f}s")
-    _emit(doc, cfg.format, lines)
-    return _expect_exit(cfg, cert.verdict)
+    _emit(doc, args.format, lines)
+    return _expect_exit(args, cert.verdict)
 
 
-def _cmd_minimality(cfg: RunConfig, args) -> int:
+def _cmd_minimality(args) -> int:
     g = _load(args.graph)
-    report = minimality_scan(g, rules=cfg.rules, limits=cfg.limits)
+    report = minimality_scan(g, rules=args.rules, limits=args.limits)
     doc = report.report_dict()
     lines = [
         f"graph: {report.graph_g6}",
@@ -155,8 +140,8 @@ def _cmd_minimality(cfg: RunConfig, args) -> int:
         lines.append(
             f"  {e.operation} {e.edge}: {e.verdict} ({e.unforced_count} unforced)"
         )
-    if cfg.obstructions:
-        obs = load_graph_records(cfg.obstructions)
+    if args.obstructions:
+        obs = load_graph_records(args.obstructions)
         from .connectivity import is_projective_planar
 
         checks = []
@@ -164,24 +149,23 @@ def _cmd_minimality(cfg: RunConfig, args) -> int:
             op = orb_entry.operation
             e = orb_entry.edge
             minor = g.delete_edge(*e) if op == "delete" else g.contract_edge(*e)
-            pp = is_projective_planar(minor, obs, cfg.limits)
+            pp = is_projective_planar(minor, obs, args.limits)
             checks.append({"edge": list(e), "operation": op, "projective_planar": pp})
             lines.append(f"  {op} {e}: projective planar = {pp}")
         doc["projective_planarity"] = checks
-    _emit(doc, cfg.format, lines)
+    _emit(doc, args.format, lines)
     return 0
 
 
-def _cmd_catalog(cfg: RunConfig, args) -> int:
+def _cmd_catalog(args) -> int:
     which = args.which
-    fam = petersen_family()
     doc: dict = {}
     lines: list[str] = []
     reports = []
     if which in ("0", "1", "2"):
-        reports = [build_catalog(int(which), fam)]
+        reports = [build_catalog(int(which))]
     elif which == "all":
-        reports = [build_catalog(k, fam) for k in (0, 1, 2)]
+        reports = [build_catalog(k) for k in (0, 1, 2)]
     elif which == "deltawye":
         tf = therefore_family()
         doc = {
@@ -197,7 +181,7 @@ def _cmd_catalog(cfg: RunConfig, args) -> int:
             f"with K44-e minor: {len(tf.with_k44e_minor)}",
             f"minimal candidates: {len(tf.minimal_candidates)}",
         ]
-        _emit(doc, cfg.format, lines)
+        _emit(doc, args.format, lines)
         return 0
     else:
         print(f"unknown catalog selector {which!r}", file=sys.stderr)
@@ -233,11 +217,11 @@ def _cmd_catalog(cfg: RunConfig, args) -> int:
             f"distinct {rep.distinct_count}"
             + (f", findings: {rep.findings}" if rep.findings else "")
         )
-    _emit(doc, cfg.format, lines)
+    _emit(doc, args.format, lines)
     return 0
 
 
-def _cmd_reconcile(cfg: RunConfig, args) -> int:
+def _cmd_reconcile(args) -> int:
     doc = grand_total()
     lines = [
         f"k=0: {doc['counts']['k0']}   k=1: {doc['counts']['k1']}   "
@@ -248,7 +232,7 @@ def _cmd_reconcile(cfg: RunConfig, args) -> int:
     ]
     if doc["findings"]:
         lines.append(f"findings: {doc['findings']}")
-    _emit(doc, cfg.format, lines)
+    _emit(doc, args.format, lines)
     return 0
 
 
@@ -303,14 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig(
-            rules=args.rules,
-            format=args.format,
-            expect=args.expect,
-            obstructions=args.obstructions,
-            limits=limits_from_env(),
-        )
-        return _DISPATCH[args.command](cfg, args)
+        args.limits = limits_from_env()
+        parse_rules(args.rules)  # a bad --rules fails every subcommand
+        return _DISPATCH[args.command](args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # surface as exit 1 with message

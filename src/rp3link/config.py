@@ -38,10 +38,10 @@ def _env_int(name: str, default: int) -> int:
     raise ValueError(f"{name} must be a positive integer, got {raw!r}")
 
 
-def limits_from_env(base: Limits = DEFAULT_LIMITS) -> Limits:
-    """Apply RP3LINK_MAX_VERTICES / RP3LINK_MAX_DIM overrides when set."""
+def limits_from_env() -> Limits:
+    """The default limits, with RP3LINK_MAX_VERTICES / RP3LINK_MAX_DIM
+    overrides when set."""
     return Limits(
-        max_vertices=_env_int(ENV_MAX_VERTICES, base.max_vertices),
-        max_dim=_env_int(ENV_MAX_DIM, base.max_dim),
-        max_cycles=base.max_cycles,
+        max_vertices=_env_int(ENV_MAX_VERTICES, DEFAULT_LIMITS.max_vertices),
+        max_dim=_env_int(ENV_MAX_DIM, DEFAULT_LIMITS.max_dim),
     )

@@ -224,7 +224,7 @@ def _canon_g6(g: Graph) -> str:
     return graph_to_g6(canonical_graph(g))
 
 
-def build_catalog(k: int, family: PetersenFamily | None = None) -> CatalogReport:
+def build_catalog(k: int) -> CatalogReport:
     """Connectivity-k catalog over the six projective-planar members.
 
     k=0: disjoint unions of member pairs (multisets).  k=1: gluings of
@@ -232,8 +232,7 @@ def build_catalog(k: int, family: PetersenFamily | None = None) -> CatalogReport
     pair-orbit) items at two vertices with the joining edge deleted; a pair
     of classes admits vfn1*vfn2+1 distinct gluings.
     """
-    fam = family or petersen_family()
-    members = list(fam.projective_planar.items())
+    members = list(petersen_family().projective_planar.items())
     tables: dict[str, OrbitTable] = {name: orbits(g) for name, g in members}
     entries: list[CatalogEntry] = []
     findings: list[str] = []
@@ -400,23 +399,15 @@ def sporadic_graphs() -> dict[str, Graph]:
     }
 
 
-def grand_total(
-    k0: CatalogReport | None = None,
-    k1: CatalogReport | None = None,
-    k2: CatalogReport | None = None,
-    therefore: ThereforeFamily | None = None,
-) -> dict:
+def grand_total() -> dict:
     """Reconciliation of the catalog totals; reports both readings.
 
     The low-connectivity catalogs plus the 13 delta-wye graphs sum to 594;
     adding the three sporadic graphs certified separately gives 597.  Both
     totals are emitted, never silently merged.
     """
-    fam = petersen_family()
-    k0 = k0 or build_catalog(0, fam)
-    k1 = k1 or build_catalog(1, fam)
-    k2 = k2 or build_catalog(2, fam)
-    therefore = therefore or therefore_family()
+    k0, k1, k2 = (build_catalog(k) for k in (0, 1, 2))
+    therefore = therefore_family()
     counts = {
         "k0": k0.formula_count,
         "k1": k1.formula_count,

@@ -26,6 +26,23 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def component_masks(adj: tuple[int, ...], avail: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph on `avail`,
+    by smallest vertex."""
+    comps = []
+    while avail:
+        comp = frontier = avail & -avail
+        while frontier:
+            lsb = frontier & -frontier
+            frontier ^= lsb
+            new = adj[lsb.bit_length() - 1] & avail & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        avail &= ~comp
+    return comps
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; edges stored sorted so equal graphs compare equal."""
@@ -104,22 +121,11 @@ class Graph:
         return tuple(u for u in range(self.n) if (self.adj[v] >> u) & 1)
 
     def components(self) -> list[tuple[int, ...]]:
-        seen = 0
-        comps = []
-        for s in range(self.n):
-            if (seen >> s) & 1:
-                continue
-            comp = 1 << s
-            frontier = [s]
-            while frontier:
-                v = frontier.pop()
-                for u in range(self.n):
-                    if (self.adj[v] >> u) & 1 and not (comp >> u) & 1:
-                        comp |= 1 << u
-                        frontier.append(u)
-            seen |= comp
-            comps.append(tuple(u for u in range(self.n) if (comp >> u) & 1))
-        return comps
+        """The connected components, by smallest vertex, each sorted."""
+        return [
+            tuple(u for u in range(self.n) if (comp >> u) & 1)
+            for comp in component_masks(self.adj, (1 << self.n) - 1)
+        ]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1

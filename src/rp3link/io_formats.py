@@ -156,9 +156,12 @@ def load_graph_records(path: str | Path) -> list[Graph]:
             block = [lines[i]]
             taken = 0
             j = i + 1
-            while j < len(lines) and taken < m:
+            # the m edge rows, and a marks line up to the next record's header
+            while j < len(lines):
                 row = lines[j].split("#", 1)[0].strip()
-                if row:
+                if row and not row.startswith("marks:"):
+                    if taken == m:
+                        break
                     taken += 1
                 block.append(lines[j])
                 j += 1

@@ -190,6 +190,10 @@ class RuleContext:
         self.minor_of: set[Graph] = set()
         self.cs = cycle_space(host)
         self.dim = self.cs.dim
+        # checked before enumerating: a graph over the cap can have too many
+        # simple cycles to enumerate
+        if self.dim > limits.max_dim:
+            raise DimensionExceeded(f"dimension {self.dim} exceeds cap {limits.max_dim}")
         cyc = sorted(all_simple_cycles(host, limits), key=lambda c: (c.bit_count(), c))
         self.cycles: tuple[int, ...] = tuple(cyc)
         self.cycle_sigs = tuple(self.cs.signature(c) for c in cyc)
@@ -356,15 +360,6 @@ def rule_context(host: Graph, limits: Limits = DEFAULT_LIMITS) -> RuleContext:
 
 
 rule_context.cache_clear = _cached_context.cache_clear  # type: ignore[attr-defined]
-
-
-def _capped_context(g: Graph, limits: Limits) -> RuleContext:
-    """rule_context(g, limits), after checking the dimension cap: a graph
-    over the cap can have too many simple cycles to enumerate."""
-    dim = cycle_space(g).dim
-    if dim > limits.max_dim:
-        raise DimensionExceeded(f"dimension {dim} exceeds cap {limits.max_dim}")
-    return rule_context(g, limits)
 
 
 def parse_rules(rules: str) -> str:
@@ -595,11 +590,6 @@ class _Sweeper:
         return examined
 
 
-def _check_assignment(v: int, dim: int) -> None:
-    if not 0 <= v < 1 << dim:
-        raise ValueError(f"assignment {v} is outside [0, 2^{dim})")
-
-
 @dataclass
 class Certificate:
     """Outcome of an exhaustive assignment sweep over one graph."""
@@ -621,7 +611,8 @@ class Certificate:
         """The evidence that forced an assignment, None if none did.
         Raises ValueError for an assignment outside [0, 2^dim), and for a
         rule code other than 0-3 or an index outside its rule's table."""
-        _check_assignment(assignment, self.dim)
+        if not 0 <= assignment < 1 << self.dim:
+            raise ValueError(f"assignment {assignment} is outside [0, 2^{self.dim})")
         rule = self.rule_of[assignment]
         return self.ctx.evidence(rule, self.ev_of[assignment]) if rule else None
 
@@ -659,7 +650,7 @@ def certify(
     """Sweep all 2^dim assignments, attaching evidence in A, C, B order."""
     rules = parse_rules(rules)
     t0 = time.perf_counter()
-    ctx = _capped_context(g, limits)
+    ctx = rule_context(g, limits)
     sweeper = _Sweeper(ctx, rules)
     total = 1 << ctx.dim
     rule_of = bytearray(total)
@@ -895,9 +886,9 @@ def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
     return _lifted_vectors(ev, model, pmasks), 0, "rule B basis cycle not 0-homologous"
 
 
-def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -> int:
-    """Re-check every forced assignment (or those in sample) against its
-    evidence; return the number checked, counting repeats in sample.
+def verify_certificate(cert: Certificate) -> int:
+    """Re-check every forced assignment against its evidence; return the
+    number checked.
 
     Each distinct piece of evidence, as `Certificate.evidence` gives it, is
     checked once by `_evidence_claim`: its structure (simple disjoint
@@ -915,44 +906,25 @@ def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -
     key's claim by parity bitmaps from `_parity_bitmap`.
 
     Raises ModelInvalid on a failure, and for a rule code other than 0-3
-    or an index outside its rule's table; raises ValueError, before
-    checking any, if sample holds an assignment outside [0, 2^dim).
+    or an index outside its rule's table.
     """
     dim = cert.dim
     w = min(dim, _VERIFY_BITS)
     width = 1 << w
     full = (1 << width) - 1
-    repeats: list[int] = []
-    if sample is None:
-        selected = dict.fromkeys(range(1 << (dim - w)), full)
-    else:
-        sample = list(sample)
-        for v in sample:
-            _check_assignment(v, dim)
-        marks: dict[int, bytearray] = {}
-        for v in sample:
-            buf = marks.get(v >> w)
-            if buf is None:
-                buf = marks[v >> w] = bytearray((width + 7) >> 3)
-            u = v & (width - 1)
-            if buf[u >> 3] >> (u & 7) & 1:
-                repeats.append(v)
-            buf[u >> 3] |= 1 << (u & 7)
-        selected = {win: int.from_bytes(buf, "little") for win, buf in sorted(marks.items())}
     g, ctx, rule_of, ev_of = cert.graph, cert.ctx, cert.rule_of, cert.ev_of
     ev = _IndependentEvaluator(g)
     claims: dict[tuple[int, int], tuple[tuple[int, ...], int, str]] = {}
     checked = 0
-    for win, sel in selected.items():
+    for win in range(1 << (dim - w)):
         start = win << w
         *code_planes, bad = _planes(rule_of[start:start + width], _CODE_DIGITS)
-        bad &= sel
         if bad:
             v = start + (bad & -bad).bit_length() - 1
             raise ModelInvalid(f"rule code {rule_of[v]} is not 1, 2 or 3 at {v}")
         planes = code_planes + _index_planes(ev_of[start:start + width])
         complements = [p ^ full for p in planes]
-        left = (code_planes[0] | code_planes[1]) & sel
+        left = code_planes[0] | code_planes[1]
         while left:
             v = start + (left & -left).bit_length() - 1
             key = (rule_of[v], ev_of[v])
@@ -977,7 +949,7 @@ def verify_certificate(cert: Certificate, sample: Iterable[int] | None = None) -
                 if wrong:
                     raise ModelInvalid(f"{message} at {start + (wrong & -wrong).bit_length() - 1}")
             checked += group.bit_count()
-    return checked + sum(1 for v in repeats if rule_of[v])
+    return checked
 
 
 # -- minimality scans -----------------------------------------------------------
@@ -1049,7 +1021,7 @@ def minimality_scan(
             ("delete", g.delete_edge(*e)),
             ("contract", g.contract_edge(*e)),
         ):
-            _capped_context(minor, limits).minor_of.add(g)
+            rule_context(minor, limits).minor_of.add(g)
             cert = certify(minor, rules=rules, limits=limits)
             report.entries.append(
                 MinimalityEntry(e, op_name, cert.verdict, len(cert.unforced))

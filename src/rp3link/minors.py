@@ -32,7 +32,7 @@ from typing import Iterator
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ModelInvalid, SizeExceeded
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, component_masks, norm_edge
 
 
 @dataclass(frozen=True)
@@ -131,29 +131,13 @@ def _pattern_group(pattern: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
-def _components(adj: tuple[int, ...], avail: int) -> list[int]:
-    """Vertex masks of the connected components of the subgraph on `avail`."""
-    comps = []
-    while avail:
-        comp = frontier = avail & -avail
-        while frontier:
-            lsb = frontier & -frontier
-            frontier ^= lsb
-            new = adj[lsb.bit_length() - 1] & avail & ~comp
-            comp |= new
-            frontier |= new
-        comps.append(comp)
-        avail &= ~comp
-    return comps
-
-
 def _cuts(g: Graph, order: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Each vertex set S with |S| <= order whose removal disconnects g, with
     the component masks of g - S; by size, then in lexicographic order."""
     full = (1 << g.n) - 1
     for size in range(order + 1):
         for cut in itertools.combinations(range(g.n), size):
-            comps = _components(g.adj, full & ~sum(1 << v for v in cut))
+            comps = component_masks(g.adj, full & ~sum(1 << v for v in cut))
             if len(comps) > 1:
                 yield cut, comps
 

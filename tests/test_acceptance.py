@@ -94,8 +94,7 @@ def test_criterion_03_pair_classes():
 
 
 def test_criterion_04_catalog_counts():
-    fam = petersen_family()
-    reports = {k: build_catalog(k, fam) for k in (0, 1, 2)}
+    reports = {k: build_catalog(k) for k in (0, 1, 2)}
     formula = tuple(reports[k].formula_count for k in (0, 1, 2))
     distinct = tuple(reports[k].distinct_count for k in (0, 1, 2))
     findings = [f for k in (0, 1, 2) for f in reports[k].findings]
@@ -265,10 +264,9 @@ def test_criterion_13_determinism():
         cert = certify(g, rules="ABC")
         docs.append(cert.to_json(include_timing=False))
     assert docs[0] == docs[1] == docs[2]
-    fam = petersen_family()
     manifests = []
     for _ in range(2):
-        rep = build_catalog(2, fam)
+        rep = build_catalog(2)
         manifests.append(
             json.dumps(
                 {

@@ -165,10 +165,9 @@ def test_gluing_count_formula():
 
 
 def test_catalog_counts():
-    fam = petersen_family()
-    r0 = build_catalog(0, fam)
-    r1 = build_catalog(1, fam)
-    r2 = build_catalog(2, fam)
+    r0 = build_catalog(0)
+    r1 = build_catalog(1)
+    r2 = build_catalog(2)
     assert (r0.formula_count, r1.formula_count, r2.formula_count) == (21, 91, 469)
     assert r0.distinct_count == 21
     assert r1.distinct_count == 91
@@ -177,12 +176,11 @@ def test_catalog_counts():
 
 
 def test_catalog_entry_connectivity():
-    fam = petersen_family()
     rng = random.Random(1)
     from rp3link.io_formats import g6_to_graph
 
     for k in (0, 1, 2):
-        rep = build_catalog(k, fam)
+        rep = build_catalog(k)
         sample = rng.sample(rep.entries, 12)
         for entry in sample:
             g = g6_to_graph(entry.code_g6)

@@ -15,11 +15,12 @@ from rp3link import (
     fixture_path,
     g6_to_graph,
     graph_to_g6,
+    k6_therefore,
     load_fixture,
     load_graph_records,
     parse_graph,
 )
-from rp3link.cli import RunConfig, main
+from rp3link.cli import main
 from rp3link.config import Limits, limits_from_env
 from rp3link.errors import DuplicateEdge, LoopEdge, ParseError
 
@@ -97,16 +98,23 @@ def test_load_graph_records(tmp_path):
     path.write_text(graph_to_g6(g1) + "\n# comment\n" + emit_edge_list(g2))
     loaded = load_graph_records(path)
     assert loaded == [g1, g2]
+    # a marks line closes its record and is dropped with the marks
+    m = k6_therefore()
+    path.write_text(emit_edge_list(m) + emit_edge_list(g1))
+    assert load_graph_records(path) == [m.graph, g1]
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(expect="maybe")
+def test_cli_rejects_bad_expectation(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--expect", "maybe", "certify", str(fixture_path("k6"))])
+    assert exc.value.code == 2
+    assert "invalid choice: 'maybe'" in capsys.readouterr().err
 
 
-def test_bad_rule_strings_rejected_by_config_and_cli(capsys):
-    with pytest.raises(ValueError, match="rule string"):
-        RunConfig(rules="XYZ")
+def test_bad_rule_strings_rejected_by_cli(capsys):
+    # every subcommand checks --rules, not only those that run rules
+    assert main(["--rules", "XYZ", "petersen"]) == 1
+    assert "rule string" in capsys.readouterr().err
     path = str(fixture_path("k44_minus_e"))
     assert main(["--rules", "XYZ", "--expect", "undecided", "certify", path]) == 1
     assert "rule string" in capsys.readouterr().err
