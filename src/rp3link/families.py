@@ -14,14 +14,12 @@ from functools import lru_cache
 
 from .canon import (
     OrbitTable,
-    automorphism_generators,
     canonical_form,
     canonical_form_marked,
     orbits,
 )
 from .errors import (
     BadVertices,
-    MarksNotIndependent,
     NotATriangle,
     NotDegree3,
     WouldCreateParallel,

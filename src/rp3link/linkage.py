@@ -18,10 +18,11 @@ Rules C and B state one kind of condition: a model of a family member
 (K6 for C) and a set of its vertices, a quad for C and every vertex but
 the apex for B, whose induced subgraph pulls back to zero.  One generator,
 `RuleContext._conditions`, builds both tables: lifts are GF(2)-linear, so
-each model's pattern edges are lifted (`edge_lifts`) and reduced to
-signatures once, and a cycle of the kept subgraph pulls back to the XOR
-of its edges' signatures.  `verify_certificate` keeps its own statement
-of both rules and lifts every cycle afresh.
+each model's pattern edges are lifted and reduced to signatures once (the
+branch-tree root paths once per branch-set assignment), and a cycle of the
+kept subgraph pulls back to the XOR of its edges' signatures.
+`verify_certificate` keeps its own statement of both rules and lifts every
+cycle afresh.
 
 Assignments are swept in windows of up to 2^16 indices held as bitmap
 integers (bit u = assignment u of the window); the parity of ``v & r``
@@ -65,7 +66,6 @@ from .homology import (
     assignment_to_serial,
     cycle_space,
     cycle_vertices,
-    edge_lifts,
     lift,
 )
 from .io_formats import graph_to_g6
@@ -277,16 +277,15 @@ class RuleContext:
         vertices pulls back to zero through the model.  Its vectors are the
         `_rref` of the signatures of the lifts of a cycle basis of that
         subgraph; lift is linear, so each is the XOR of the signatures of
-        the edge lifts along its cycle, computed once per model.  A vector
-        tuple met before spans the same space, so its key is already seen
-        and it is skipped without `_rref`.
+        the edge lifts along its cycle, computed once per model
+        (`_edge_sigs`).  A vector tuple met before spans the same space, so
+        its key is already seen and it is skipped without `_rref`.
         """
         seen: set[tuple[int, ...]] = set()
         seen_raw: set[tuple[int, ...]] = set()
         for name, member, models, kept_sets in jobs:
             bases = [_kept_basis(member, kept) for _, kept in kept_sets]
-            for mi, model in enumerate(models):
-                sigs = [self.cs.signature(e) for e in edge_lifts(model)]
+            for mi, sigs in enumerate(self._edge_sigs(models)):
                 for (label, _), basis in zip(kept_sets, bases):
                     vecs = []
                     for cycle in basis:
@@ -302,6 +301,36 @@ class RuleContext:
                     if key not in seen:
                         seen.add(key)
                         yield key, name, mi, label
+
+    def _edge_sigs(self, models: Iterable[MinorModel]) -> Iterator[list[int]]:
+        """The signatures of each model's edge lifts, in pattern.edges order.
+
+        The lift of a pattern edge is its mapped host edge uv plus the
+        branch-tree paths from the roots to u and v; signatures are linear,
+        so its signature is sig(uv) ^ psig[u] ^ psig[v].  The models of one
+        branch-set assignment share its trees and differ only in their edge
+        maps, so the root-path signatures psig are computed once per
+        assignment, walking each tree in its BFS order (each edge comes
+        after one of its ends is reached).
+        """
+        eidx = self.host.edge_index
+        esig = [self.cs.signature(1 << ei) for ei in range(self.host.m)]
+        psig = [0] * self.host.n
+        trees = None
+        for model in models:
+            if model.branch_trees is not trees:
+                trees = model.branch_trees
+                for bs, tree in zip(model.branch_sets, trees):
+                    psig[bs[0]] = 0
+                    reached = 1 << bs[0]
+                    for u, v in tree:
+                        if reached >> u & 1:
+                            psig[v] = psig[u] ^ esig[eidx[u, v]]
+                            reached |= 1 << v
+                        else:
+                            psig[u] = psig[v] ^ esig[eidx[u, v]]
+                            reached |= 1 << u
+            yield [esig[eidx[e]] ^ psig[e[0]] ^ psig[e[1]] for e in model.edge_map]
 
     def conditions(self, code: int) -> _OnDemand:
         """The condition table of rule C (code 2) or B (code 3)."""

@@ -21,6 +21,23 @@ the vertices not yet placed join disjoint branch sets inside the pool of
 free host vertices, each through its own host edge, so a branch set is only
 formed while the pool it leaves holds at least that many host edges.  The
 condition is necessary, so no subtree that holds a model is cut.
+
+It also looks ahead along chains of lex-leader checks.  Each check (k, j)
+asks that the branch set at depth k exceed the one at depth j, and k > j
+(`_search_plan`).  Disjoint nonempty sets compare as their highest
+vertices, so a check is an order on highest vertices.  After depth i, take
+a placed depth j and the depths k > i reached from j by a chain of checks
+whose depths after j are all after i.  Each such branch set lies in the
+pool left after depth i, and its highest vertex lies above that of
+branch[j] by transitivity along the chain; the sets are disjoint, so these
+vertices are distinct.  Hence the pool must hold at least that many
+vertices above the highest vertex of branch[j], and a candidate at depth i
+is kept only if the pool it leaves does.  For j = i this is a ceiling: the
+set at depth i avoids the highest vertices of the pool that the sets above
+it need.  Leaving those vertices out of the ones a set may grow through
+drops exactly the subsets that hold one, and keeps the relative order of
+the rest.  The conditions are necessary, so no model is lost, and the
+models and their order do not change.
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ModelInvalid, SizeExceeded
@@ -91,23 +108,6 @@ def validate_model(m: MinorModel) -> None:
             (e[0] in su and e[1] in sv) or (e[0] in sv and e[1] in su)
         ):
             raise ModelInvalid(f"mapped edge {e} does not join its branch sets")
-
-
-def _bfs_tree(host: Graph, vertices: tuple[int, ...]) -> tuple[Edge, ...]:
-    """Deterministic BFS spanning tree of the induced subgraph, rooted at min."""
-    vs = set(vertices)
-    root = min(vertices)
-    seen = {root}
-    frontier = [root]
-    tree: list[Edge] = []
-    while frontier:
-        v = frontier.pop(0)
-        for u in host.neighbors(v):
-            if u in vs and u not in seen:
-                seen.add(u)
-                tree.append(norm_edge(v, u))
-                frontier.append(u)
-    return tuple(tree)
 
 
 @lru_cache(maxsize=256)
@@ -227,22 +227,48 @@ def enumerate_minor_models(
     yield from _backtrack_models(host, pattern)
 
 
-def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
-    """Backtracking enumeration of models of pattern inside host.
+class _SearchPlan(NamedTuple):
+    """The per-depth tables of the backtracking search for one pattern."""
 
-    Pattern vertices are placed in decreasing-degree order; branch sets are
-    connected subsets constrained by adjacency to already-placed neighbours
-    and by the vertex/edge budgets.  Models differing only by a pattern
-    automorphism are emitted once (lex-leader pruning); all edge-map choices
-    are emitted, since distinct mapped edges lift cycles differently.
+    order: tuple[int, ...]       # depth -> pattern vertex placed there
+    pos: tuple[int, ...]         # pattern vertex -> depth
+    reqs: tuple[tuple[int, ...], ...]
+    degs: tuple[int, ...]
+    futures: tuple[int, ...]
+    pendings: tuple[tuple[tuple[int, int], ...], ...]
+    inners: tuple[int, ...]
+    lowers: tuple[tuple[int, ...], ...]
+    tops: tuple[int, ...]
+    chains: tuple[tuple[tuple[int, int], ...], ...]
 
-    Look-ahead: every pattern edge between two vertices placed after depth i
-    needs a distinct host edge between their branch sets, which lie inside
-    the pool left after depth i.  A candidate set at depth i is therefore
-    grown and kept only while that pool holds at least as many host edges
-    as the pattern has among order[i + 1:].  Removing vertices from the pool
-    never adds edges to it, so a set that fails the count has no superset
-    that passes, and its growth stops there without losing a model.
+
+@lru_cache(maxsize=256)
+def _search_plan(pattern: Graph) -> _SearchPlan:
+    """The static tables of `_backtrack_models` for pattern.
+
+    The placed set at depth i is order[:i], so every table is per depth:
+    the depths of placed neighbours in ascending pattern-vertex order
+    (reqs[i][0] picks the anchors), the pattern degree, the edges owed to
+    still-unplaced neighbours, the (depth, count) pairs of placed vertices
+    that still need that many edges into the pool left after depth i, and
+    the pattern edges among the vertices placed after depth i, which need
+    distinct host edges inside that pool.
+
+    Lex-leader pruning: a model is kept only if no automorphism sigma maps
+    it to a lexicographically smaller one, comparing the branch set at
+    depth pos[sigma[order[j]]] with the one at depth j for j = 0, 1, ...
+    Branch sets are disjoint and nonempty, so the first j that sigma moves
+    decides the comparison.  That one comparison, (k, j), asks that the set
+    at depth k lie above the one at depth j; sigmas sharing it share the
+    check.  sigma fixes order[:j], so it maps order[j] to a later depth:
+    k > j.  When the pattern is complete every permutation is an
+    automorphism, and the checks reduce to ascending sets.  Disjoint sets
+    compare as their highest vertices, so a check is made at depth k:
+    lowers[k] are the depths j whose sets the one at depth k must exceed.
+    tops[i] counts the depths after i that must lie above depth i, through
+    chains of checks, and chains[i] holds (j, count) for each earlier depth
+    j with count such depths after i, through chains of checks whose
+    depths after j are all after i (see the module docstring).
     """
     # most-constrained-next static order: maximize placed neighbours, then degree
     order: list[int] = []
@@ -260,19 +286,11 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
         remaining.discard(nxt)
     n = pattern.n
     padj = pattern.adj
-    hadj = host.adj
-    extra_v = host.n - n
-    extra_e = host.m - pattern.m
-    pos = [0] * n  # pattern vertex -> depth at which it is placed
+    pos = [0] * n
     for d, p in enumerate(order):
         pos[p] = d
-    # the placed set at depth i is order[:i], so per-depth tables are static:
-    # the depths of placed neighbours in ascending pattern-vertex order
-    # (reqs[i][0] picks the anchors), the edges owed to still-unplaced
-    # neighbours, and the (depth, count) pairs of placed vertices that still
-    # need that many edges into the pool left after depth i
     reqs = [
-        [pos[q] for q in range(n) if (padj[p] >> q) & 1 and pos[q] < i]
+        tuple(pos[q] for q in range(n) if (padj[p] >> q) & 1 and pos[q] < i)
         for i, p in enumerate(order)
     ]
     degs = [pattern.degree(p) for p in order]
@@ -281,33 +299,72 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
     for i in range(n):
         later = sum(1 << p for p in order[i + 1:])
         owed = [(d, (padj[order[d]] & later).bit_count()) for d in range(i)]
-        pendings.append([(d, c) for d, c in owed if c])
-    # the pattern edges among the vertices placed after depth i, which need
-    # distinct host edges inside the pool left after depth i
+        pendings.append(tuple((d, c) for d, c in owed if c))
     inners = [sum(futures[i + 1:]) for i in range(n)]
-    # Lex-leader pruning: a model is kept only if no automorphism sigma maps
-    # it to a lexicographically smaller one, comparing the branch set at
-    # depth pos[sigma[order[j]]] with the one at depth j for j = 0, 1, ...
-    # Branch sets are disjoint and nonempty, so the first j that sigma moves
-    # decides the comparison.  That one comparison, (k, j), is made as soon
-    # as both sets are placed, at depth max(j, k); sigmas sharing it share
-    # the check.  When the pattern is complete every permutation is an
-    # automorphism, and the checks reduce to ascending masks.
-    checks: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    checks: set[tuple[int, int]] = set()
     if pattern.m == n * (n - 1) // 2:
-        for i in range(1, n):
-            checks[i].add((i, i - 1))
+        checks = {(i, i - 1) for i in range(1, n)}
     else:
         for sigma in _pattern_group(pattern):
             for j, p in enumerate(order):
                 k = pos[sigma[p]]
                 if k != j:
-                    checks[max(j, k)].add((k, j))
+                    checks.add((k, j))
                     break
-    # the sets the one placed at depth i must exceed: disjoint sets compare
-    # as their highest vertices, so it needs a vertex above all of them
-    lowers = [[j for k, j in checks[i] if k == i] for i in range(n)]
+    lowers: list[list[int]] = [[] for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for k, j in sorted(checks):
+        lowers[k].append(j)
+        above[j].append(k)
 
+    def chained(j: int, i: int) -> int:
+        seen: set[int] = set()
+        stack = [j]
+        while stack:
+            for k in above[stack.pop()]:
+                if k > i and k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        return len(seen)
+
+    chains = []
+    for i in range(n):
+        counts = [(j, chained(j, i)) for j in range(i)]
+        chains.append(tuple((j, c) for j, c in counts if c))
+    return _SearchPlan(
+        tuple(order), tuple(pos), tuple(reqs), tuple(degs), tuple(futures),
+        tuple(pendings), tuple(inners), tuple(map(tuple, lowers)),
+        tuple(chained(i, i) for i in range(n)), tuple(chains),
+    )
+
+
+def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
+    """Backtracking enumeration of models of pattern inside host.
+
+    Pattern vertices are placed in the order of `_search_plan`; branch sets
+    are connected subsets constrained by adjacency to already-placed
+    neighbours and by the vertex/edge budgets.  Models differing only by a
+    pattern automorphism are emitted once (lex-leader pruning); all
+    edge-map choices are emitted, since distinct mapped edges lift cycles
+    differently.
+
+    Look-ahead: every pattern edge between two vertices placed after depth i
+    needs a distinct host edge between their branch sets, which lie inside
+    the pool left after depth i.  A candidate set at depth i is therefore
+    grown and kept only while that pool holds at least as many host edges
+    as the pattern has among order[i + 1:].  Removing vertices from the pool
+    never adds edges to it, so a set that fails the count has no superset
+    that passes, and its growth stops there without losing a model.  A
+    candidate is also kept only while the pool leaves room for the lex-leader
+    chains of `_search_plan` (see the module docstring).
+    """
+    order, pos, reqs, degs, futures, pendings, inners, lowers, tops, chains = (
+        _search_plan(pattern)
+    )
+    n = pattern.n
+    hadj = host.adj
+    extra_v = host.n - n
+    extra_e = host.m - pattern.m
     branch = [0] * n  # depth -> host mask of the branch set placed there
 
     def place(
@@ -319,8 +376,16 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
         avail = ~used & ((1 << host.n) - 1)
         if avail.bit_count() < n - i:
             return
+        # the tops[i] sets that must lie above this one each need their own
+        # highest vertex in the pool above it, so it avoids the tops[i]
+        # highest vertices of the pool.  Leaving them out of `room` keeps
+        # the relative order of the subsets that remain.
+        room = avail
+        for _ in range(tops[i]):
+            room ^= 1 << (room.bit_length() - 1)
+        # it must lie above every set of lowers[i]: it needs a vertex of `high`
         top = max([branch[j] for j in lowers[i]], default=0)
-        high = avail & ~((1 << top.bit_length()) - 1)
+        high = room & ~((1 << top.bit_length()) - 1)
         if not high:
             return
         deg_p = degs[i]
@@ -332,6 +397,7 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
         future = futures[i]
         inner = inners[i]
         pending = [(branch[d], c) for d, c in pendings[i]]
+        chain = chains[i]
         if req:
             # branch set must touch the neighbourhood of a placed neighbour;
             # each subset is grown from its smallest such anchor
@@ -341,11 +407,11 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
                 lsb = s & -s
                 seeds |= hadj[lsb.bit_length() - 1]
                 s ^= lsb
-            seeds &= avail
+            seeds &= room
             if not seeds:
                 return
         else:
-            seeds = avail
+            seeds = room
         found: list[tuple[int, int]] = []
 
         def grow(sub, size, ext, banned, allowed, nbhd, fut, bnd, left):
@@ -397,18 +463,22 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
             s ^= lsb
             a = hadj[lsb.bit_length() - 1]
             # exclude smaller seeds so each subset appears once
-            allowed = avail & ~(seeds & (lsb - 1))
+            allowed = room & ~(seeds & (lsb - 1))
             d = (a & avail).bit_count()
             if pool_e - d >= inner:
                 grow(lsb, 1, a & allowed & ~lsb, 0, allowed, a, d,
                      d + (a & req_union).bit_count(), pool_e - d)
         for sub, left in found:
+            if not sub & high:
+                continue  # an automorphism maps the model to a smaller one
             branch[i] = sub
-            for k, j in checks[i]:
-                if branch[k] < branch[j]:
-                    break  # an automorphism maps the model to a smaller one
+            rest = avail & ~sub
+            for j, c in chain:
+                # the c sets that must lie above branch[j] each need their
+                # own highest vertex in the pool above it
+                if (rest >> branch[j].bit_length()).bit_count() < c:
+                    break
             else:
-                rest = avail & ~sub
                 for qmask, c in pending:
                     cnt = 0
                     s = qmask
@@ -424,31 +494,53 @@ def _backtrack_models(host: Graph, pattern: Graph) -> Iterator[MinorModel]:
                         i + 1, used | sub, spent_v + size - 1, spent_e + size - 1, left
                     )
 
+    # edge_at[u * hn + v] is the host's own tuple of edge uv (u < v), which
+    # every model then shares
+    hn = host.n
+    edge_at: list[Edge | None] = [None] * (hn * hn)
+    for e in host.edges:
+        edge_at[e[0] * hn + e[1]] = e
     for placed in place(0, 0, 0, 0, host.m):
-        assignment = [placed[pos[p]] for p in range(n)]
-        sets = tuple(
-            tuple(v for v in range(host.n) if (assignment[p] >> v) & 1)
-            for p in range(n)
-        )
-        trees = tuple(_bfs_tree(host, bs) for bs in sets)
-        choices: list[list[Edge]] = []
-        ok = True
+        masks = [placed[pos[p]] for p in range(n)]
+        sets = []
+        trees = []
+        for mask in masks:
+            # BFS spanning tree of the set from its smallest vertex, taking
+            # neighbours in ascending order; the queue ends as the set
+            queue = [(mask & -mask).bit_length() - 1]
+            seen = mask & -mask
+            tree = []
+            for v in queue:
+                new = hadj[v] & mask & ~seen
+                seen |= new
+                while new:
+                    lsb = new & -new
+                    new ^= lsb
+                    u = lsb.bit_length() - 1
+                    tree.append(edge_at[v * hn + u if v < u else u * hn + v])
+                    queue.append(u)
+            sets.append(tuple(sorted(queue)))
+            trees.append(tuple(tree))
+        # the host edges joining the two sets of each pattern edge, in
+        # lexicographic order: by lower end, then by upper end
+        choices = []
         for pu, pv in pattern.edges:
-            su, sv = assignment[pu], assignment[pv]
-            cands = [
-                e
-                for e in host.edges
-                if ((su >> e[0]) & 1 and (sv >> e[1]) & 1)
-                or ((sv >> e[0]) & 1 and (su >> e[1]) & 1)
-            ]
-            if not cands:
-                ok = False
-                break
+            su, sv = masks[pu], masks[pv]
+            cands = []
+            s = su | sv
+            while s:
+                lsb = s & -s
+                s ^= lsb
+                a = lsb.bit_length() - 1
+                t = hadj[a] & (sv if su & lsb else su) & -(lsb << 1)
+                while t:
+                    low = t & -t
+                    t ^= low
+                    cands.append(edge_at[a * hn + low.bit_length() - 1])
             choices.append(cands)
-        if not ok:
-            continue
+        sets_t, trees_t = tuple(sets), tuple(trees)
         for emap in itertools.product(*choices):
-            yield MinorModel(host, pattern, sets, trees, emap)
+            yield MinorModel(host, pattern, sets_t, trees_t, emap)
 
 
 def is_minor(h: Graph, g: Graph, limits: Limits = DEFAULT_LIMITS) -> MinorModel | None:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .canon import are_isomorphic
 from .errors import NotK33
-from .graphs import Edge, Graph, norm_edge
-from .homology import HomologyAssignment, all_simple_cycles, cycle_vertices, evaluate
+from .graphs import Edge, Graph
+from .homology import HomologyAssignment, all_simple_cycles, evaluate
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from rp3link import (
     certify,
     classify_k33,
     cycle_space,
+    enumerate_minor_models,
     evaluate,
     glue_pair,
     lift,
@@ -39,7 +40,7 @@ from rp3link import (
 from rp3link import is_minor, linkage, minors
 from rp3link.config import Limits
 from rp3link.errors import DimensionExceeded, ModelInvalid, SizeExceeded
-from rp3link.homology import cycle_vertices
+from rp3link.homology import cycle_vertices, edge_lifts
 from rp3link.minors import MinorModel
 
 from conftest import brute_force_automorphisms, random_graph
@@ -564,6 +565,24 @@ def test_condition_tables_match_rref_on_every_tuple():
             assert list(ctx.b_conditions) == b_ref
             repeats += c_repeats + b_repeats
     assert repeats > 500  # the skip is exercised (969 repeated tuples)
+
+
+def test_shared_signatures_match_edge_lifts():
+    # _conditions reads each model's edge signatures from root-path
+    # signatures shared by the models of one branch-set assignment; they
+    # must equal the signatures of homology.edge_lifts, which shares nothing
+    from test_minors import _STREAMS, _stream_host
+
+    models = 0
+    for name in sorted(_STREAMS):
+        host = _stream_host(name)
+        ctx = linkage.RuleContext(host)
+        for member in petersen_family().members.values():
+            stream = list(enumerate_minor_models(host, member))
+            for model, sigs in zip(stream, ctx._edge_sigs(stream), strict=True):
+                assert sigs == [ctx.cs.signature(e) for e in edge_lifts(model)], (name, model)
+            models += len(stream)
+    assert models > 8000
 
 
 def _evidence_sha(cert) -> str:

@@ -25,7 +25,7 @@ from rp3link import (
 )
 from rp3link import minors
 from rp3link.errors import ModelInvalid, SizeExceeded
-from rp3link.minors import MinorModel, _backtrack_models, _pattern_group
+from rp3link.minors import MinorModel, _backtrack_models, _pattern_group, _search_plan
 
 from conftest import brute_force_automorphisms, random_graph
 
@@ -518,11 +518,12 @@ def test_search_descends_only_through_sets_that_pass_the_edge_counts():
 def test_search_grows_only_subsets_that_can_pass_the_lex_leader_test():
     # Like the test above, this catches a pruning that is too loose, which
     # changes no model, only the work.  White-box: a set placed at depth i
-    # must exceed every set branch[j] of a lex check (i, j); disjoint sets
-    # compare as their highest vertices, so it needs a vertex above all of
-    # them.  Each grow() frame must be entered for a subset that holds such
-    # a vertex or can still add one: it is below the size cap, and later
-    # extensions draw on allowed vertices not yet banned.
+    # must exceed every set branch[j] of a lex check (i, j), the depths j of
+    # the search plan's lowers[i]; disjoint sets compare as their highest
+    # vertices, so it needs a vertex above all of them.  Each grow() frame
+    # must be entered for a subset that holds such a vertex or can still add
+    # one: it is below the size cap, and later extensions draw on allowed
+    # vertices not yet banned.
     hosts = [_stream_host(name) for name in ("K7-2nonadj", "K6t~K6t:contract:0", "random:12")]
     checked = 0
 
@@ -533,9 +534,12 @@ def test_search_grows_only_subsets_that_can_pass_the_lex_leader_test():
         outer = frame.f_back
         while outer.f_code.co_name != "place":
             outer = outer.f_back
+        search = outer.f_back
+        while search.f_code.co_name != "_backtrack_models":
+            search = search.f_back
         p, f = outer.f_locals, frame.f_locals
         i, branch = p["i"], p["branch"]
-        bounds = [branch[j] for k, j in p["checks"][i] if k == i]
+        bounds = [branch[j] for j in _search_plan(search.f_locals["pattern"]).lowers[i]]
         if not bounds:
             return
         floor = max(b.bit_length() for b in bounds)
@@ -596,3 +600,80 @@ def test_search_leaves_the_pool_enough_edges_for_the_unplaced_vertices():
     finally:
         sys.setprofile(None)
     assert checked > 1000
+
+
+def test_search_leaves_the_pool_room_for_the_lex_leader_chains():
+    # Like the tests above, this catches a pruning that is too loose, which
+    # changes no model, only the work.  White-box: the lex checks are
+    # recomputed from the automorphism group, each check (k, j) asking that
+    # the set at depth k lie above the one at depth j.  At each place()
+    # frame at depth i >= 1, a placed set j is below every unplaced depth
+    # reached from j by a chain of checks through unplaced depths, and each
+    # of those sets has its own highest vertex in the pool above j's
+    # highest vertex; likewise below.  The pool must hold that many.
+    hosts = [_stream_host(name) for name in ("K7-2nonadj", "K6t~K6t:contract:0", "random:12")]
+    frames = set()
+    checked = 0
+    counts = {}
+
+    def chain_counts(pattern):
+        order = _search_plan(pattern).order
+        n = pattern.n
+        pos = {p: d for d, p in enumerate(order)}
+        above = [0] * n  # depth -> mask of the depths checked to lie above it
+        for sigma in _pattern_group(pattern):
+            moved = [d for d, p in enumerate(order) if pos[sigma[p]] != d]
+            if moved:
+                above[moved[0]] |= 1 << pos[sigma[order[moved[0]]]]
+        below = [sum(1 << k for k in range(n) if above[k] >> j & 1) for j in range(n)]
+
+        def reach(j, step, i):
+            seen, frontier = 0, step[j] >> i << i
+            while frontier:
+                seen |= frontier
+                nxt = 0
+                for k in range(i, n):
+                    if frontier >> k & 1:
+                        nxt |= step[k]
+                frontier = nxt >> i << i & ~seen
+            return seen.bit_count()
+
+        return {(i, j): (reach(j, above, i), reach(j, below, i))
+                for i in range(1, n + 1) for j in range(i)}
+
+    def watch(frame, event, arg):
+        nonlocal checked
+        if event != "call" or frame.f_code.co_name != "place" or frame in frames:
+            return
+        frames.add(frame)
+        f = frame.f_locals
+        i = f["i"]
+        if i == 0:
+            return
+        search = frame.f_back
+        while search.f_code.co_name != "_backtrack_models":
+            search = search.f_back
+        pattern = search.f_locals["pattern"]
+        if pattern not in counts:
+            counts[pattern] = chain_counts(pattern)
+        adj, branch = f["hadj"], f["branch"]
+        pool = ~f["used"] & ((1 << len(adj)) - 1)
+        for j in range(i):
+            up, down = counts[pattern][i, j]
+            hb = branch[j].bit_length()
+            assert (pool >> hb).bit_count() >= up
+            assert (pool & ((1 << hb) - 1)).bit_count() >= down
+            checked += 1
+
+    sys.setprofile(watch)
+    try:
+        for host in hosts:
+            for pattern in petersen_family().members.values():
+                for _ in _backtrack_models(host, pattern):
+                    pass
+    finally:
+        sys.setprofile(None)
+    assert checked > 1000
+    # the chains are not vacuous: some placed set has more than one depth
+    # still to come above it
+    assert any(up > 1 for c in counts.values() for up, _ in c.values())
