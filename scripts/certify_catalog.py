@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Certify every catalog entry (k=0,1,2 plus the delta-wye 13 and sporadics).
+"""Certify and verify every catalog entry (k=0,1,2 plus the delta-wye 13 and
+sporadics).
 
 The full sweep covers 597 graphs with cycle-space dimensions up to 20
 (about a million assignments for the largest), so expect a long run;
-use --sample for a quick spot check.
+use --sample for a quick spot check.  Each certificate is re-checked by
+`verify_certificate`: an entry that is not CERTIFIED, or whose
+certificate fails verification, is a failure.
 
 Usage: python scripts/certify_catalog.py [--sample N] [--k 0 1 2]
 """
@@ -24,7 +27,9 @@ from rp3link import (
     g6_to_graph,
     sporadic_graphs,
     therefore_family,
+    verify_certificate,
 )
+from rp3link.errors import ModelInvalid
 
 
 def main() -> int:
@@ -58,8 +63,14 @@ def main() -> int:
             t0 = perf_counter()
             cert = certify(g, rules="ABC")
             status = cert.verdict
-            if status != "CERTIFIED":
-                failures.append((name, len(cert.unforced)))
+            try:
+                verify_certificate(cert)
+            except ModelInvalid as exc:
+                status = "INVALID"
+                failures.append((name, f"verification failed: {exc}"))
+            else:
+                if status != "CERTIFIED":
+                    failures.append((name, f"{len(cert.unforced)} unforced"))
             print(
                 f"[{label}] {name}: {status} dim={cert.dim} "
                 f"counts={cert.counts} t={perf_counter() - t0:.1f}s",
@@ -67,11 +78,11 @@ def main() -> int:
             )
     print(f"total {perf_counter() - grand_start:.0f}s")
     if failures:
-        print("UNCERTIFIED entries:")
-        for name, n in failures:
-            print(f"  {name}: {n} unforced")
+        print("UNCERTIFIED or unverified entries:")
+        for name, why in failures:
+            print(f"  {name}: {why}")
         return 1
-    print("all entries CERTIFIED")
+    print("all entries CERTIFIED and verified")
     return 0
 
 

@@ -30,28 +30,31 @@ over a window is a Walsh pattern, so every rule reduces to a few big-int
 AND/XOR operations per condition.  Each cycle's bitmap is built at most
 once per window, when a rule-A pair first needs it, and set to 0 once the
 cycle is even on every assignment still undecided: for the rest of the
-window a pair with that cycle costs one list lookup.  The bitmaps a
-window forces are kept as the bit planes of their entry numbers and
-decoded once, when the window is done (`_Forced`): each plane is spread
-to a byte per assignment with ``format`` and ``bytes.translate``, and the
-entry numbers so assembled index the rule codes and table indices that
-go into the per-assignment rule and evidence arrays (a bytearray, and an
-``array('I')`` of unsigned ints, which holds no negative index).
+window a pair with that cycle costs one list lookup.
 
-`verify_certificate` reads those arrays a window at a time as well, with
-its own window size and parity bitmaps: the window's rule codes and
-evidence indices become bit planes, the assignments citing one piece of
-evidence are the AND of the planes (or their complements) of its key,
-and each such group is checked against that evidence's claim at once.
+A certificate keeps no record per assignment.  Rules run in the order A,
+C, B, each in table order, so the evidence of an assignment is the first
+table entry that forces it, which is also the first *used* entry that
+forces it.  The sorted list of used (rule code, index) keys, a few
+hundred at most, therefore determines the evidence of all 2^dim
+assignments.  The sweep keeps a forced bitmap only long enough to add
+its popcount to its rule's count and its key to the used keys.
+
+`verify_certificate` re-derives the coverage from those keys, a window
+at a time, with its own window size and parity bitmaps: the keys peel
+off, in order, the assignments their claims hold at, the rules are
+recounted by first match, and the assignments left must be exactly the
+certificate's unforced ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import sys
+import re
 import time
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
@@ -342,16 +345,30 @@ class RuleContext:
             return 0 <= idx < len(self.pairs)
         return code in (2, 3) and idx >= 0 and self.conditions(code)._fill(idx + 1)
 
-    def evidence(self, code: int, idx: int):
-        """The evidence behind entry idx of a rule's table: a rule-A pair
-        (code 1), a C condition (2) or a B condition (3).  Raises
-        ValueError for any other code or an idx outside the table."""
+    def _entry(self, code: int, idx: int):
+        """Entry idx of a rule's table: a rule-A pair (code 1), a C
+        condition (2) or a B condition (3).  Raises ValueError for any
+        other code or an idx outside the table."""
         if not self.has_entry(code, idx):
             raise ValueError(f"rule code {code} has no evidence {idx}")
+        return self.pairs[idx] if code == 1 else self.conditions(code)[idx]
+
+    def forces(self, code: int, idx: int, v: int) -> bool:
+        """True when entry idx of a rule's table forces assignment v: both
+        cycles of the pair are odd on v (code 1), or every vector of the
+        condition is even on v (2, 3).  Raises ValueError as `evidence`."""
+        entry = self._entry(code, idx)
         if code == 1:
-            i, j = self.pairs[idx]
+            return all(_parity(v & self.cycle_sigs[i]) for i in entry)
+        return not any(_parity(v & r) for r in entry[0])
+
+    def evidence(self, code: int, idx: int):
+        """The evidence behind entry idx of a rule's table (see `_entry`)."""
+        entry = self._entry(code, idx)
+        if code == 1:
+            i, j = entry
             return RuleAEvidence(self.cycles[i], self.cycles[j])
-        _, name, mi, label = self.conditions(code)[idx]
+        _, name, mi, label = entry
         if code == 2:
             return RuleCEvidence(self.c_models[mi], label)
         return RuleBEvidence(name, self.b_models[name][mi], label)
@@ -408,17 +425,16 @@ def parse_rules(rules: str) -> str:
 def rule_a(g: Graph, phi: HomologyAssignment, ctx: RuleContext | None = None):
     """Two vertex-disjoint 1-homologous cycles, shortest pair first."""
     ctx = ctx or rule_context(g)
-    v = phi.values
-    for pid, (i, j) in enumerate(ctx.pairs):
-        if _parity(v & ctx.cycle_sigs[i]) and _parity(v & ctx.cycle_sigs[j]):
+    for pid in range(len(ctx.pairs)):
+        if ctx.forces(1, pid, phi.values):
             return ctx.evidence(1, pid)
     return None
 
 
 def _first_vanishing(ctx: RuleContext, code: int, phi: HomologyAssignment):
-    v = phi.values
-    for idx, cond in enumerate(ctx.conditions(code)):
-        if not any(_parity(v & r) for r in cond[0]):
+    # enumerate fills the on-demand table only as far as it is read
+    for idx, _ in enumerate(ctx.conditions(code)):
+        if ctx.forces(code, idx, phi.values):
             return ctx.evidence(code, idx)
     return None
 
@@ -453,82 +469,29 @@ def _base_patterns(w: int) -> list[int]:
     return pats
 
 
-# a window's forced assignments are decoded this many at a time: decoding
-# all 2^16 at once raised peak memory
-_CHUNK = 4096
-# _SPREAD[k] turns the digits '0' and '1' into the bytes 0 and 1 << k
-_SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << k))) for k in range(8))
-
-
-class _Forced:
-    """The forced bitmaps of one window, as the bit planes of their 1-based
-    entry number: bit u of planes[b] is bit b of the entry that forced
-    assignment u of the window, 0 when none did.  Entry e holds rule code
-    codes[e] and table index idxs[e]."""
-
-    def __init__(self):
-        self.planes: list[int] = []
-        self.codes = [0]
-        self.idxs = [0]
-
-    def add(self, h: int, code: int, idx: int) -> None:
-        """Record that bitmap h, disjoint from the bitmaps added before,
-        is forced by entry idx of rule code."""
-        e = len(self.codes)
-        self.codes.append(code)
-        self.idxs.append(idx)
-        planes = self.planes
-        if e.bit_length() > len(planes):
-            planes.append(0)
-        b = 0
-        while e:
-            if e & 1:
-                planes[b] |= h
-            e >>= 1
-            b += 1
-
-    def write(self, start: int, width: int, rule_of: bytearray, ev_of: array) -> None:
-        """Set rule_of[start + u] and ev_of[start + u], for u < width, to
-        the rule code and table index of the entry that forced assignment
-        u, or to 0 when none did.  Raises OverflowError for an index that
-        does not fit in ev_of.
-
-        Each chunk of assignments gets a lane of 1, 2 or 4 bytes per
-        assignment, wide enough for the entry numbers: every plane is spread
-        to a byte per assignment by format/translate and placed at its byte
-        of the lane, and the lanes are mapped through codes and idxs.
-        """
-        planes, codes, idxs = self.planes, self.codes, self.idxs
-        nbits = len(planes)
-        lane, typecode = (1, "B") if nbits <= 8 else (2, "H") if nbits <= 16 else (4, "I")
-        places = range(lane) if sys.byteorder == "little" else range(lane - 1, -1, -1)
-        n = min(width, _CHUNK)
-        mask = (1 << n) - 1
-        digits = f"0{n}b"
-        for off in range(0, width, n):
-            buf = bytearray(n * lane)
-            for g, place in enumerate(places):
-                spread = 0
-                for k, plane in enumerate(planes[8 * g:8 * g + 8]):
-                    bits = format(plane >> off & mask, digits)[::-1].encode()
-                    spread |= int.from_bytes(bits.translate(_SPREAD[k]), "little")
-                buf[place::lane] = spread.to_bytes(n, "little")
-            lanes = memoryview(buf).cast(typecode)
-            s = start + off
-            rule_of[s:s + n] = bytes(map(codes.__getitem__, lanes))
-            ev_of[s:s + n] = array("I", map(idxs.__getitem__, lanes))
+def _bits(bm: int, start: int) -> list[int]:
+    """start + u for each set bit u of bm, in increasing order."""
+    return [start + m.start() for m in re.finditer("1", format(bm, "b")[::-1])]
 
 
 class _Sweeper:
+    """Sweeps the windows of one graph and keeps the totals: the number of
+    assignments forced per rule code (`counts[code]`), the (code, index)
+    keys that forced any, the unforced assignments in increasing order,
+    and how many C and B conditions were examined."""
+
     def __init__(self, ctx: RuleContext, rules: str):
         self.ctx = ctx
         self.rules = rules
         self.w = min(ctx.dim, _WINDOW_BITS)
-        self.width = 1 << self.w
-        self.full = (1 << self.width) - 1
+        self.full = (1 << (1 << self.w)) - 1
         self.low_mask = (1 << self.w) - 1
         self.base = _base_patterns(self.w)
         self._pat: dict[int, int] = {0: 0}
+        self.counts = [0, 0, 0, 0]
+        self.used: set[tuple[int, int]] = set()
+        self.unforced: list[int] = []
+        self.examined = [0, 0]
 
     def _pattern(self, low: int) -> int:
         p = self._pat.get(low)
@@ -545,10 +508,9 @@ class _Sweeper:
             p ^= self.full
         return p
 
-    def sweep(self, win: int, rule_of: bytearray, ev_of: array) -> list[int]:
-        """Write the rule and evidence index of every assignment of one
-        window into rule_of/ev_of (indexed by assignment); return how many
-        C and B conditions were examined (the highest index tested + 1).
+    def sweep(self, win: int) -> None:
+        """Sweep one window into the totals; the C and B conditions
+        examined are the highest index tested + 1.
 
         A cycle's window bitmap is built the first time a pair needs it and
         dropped with the window.  Once a cycle is even on every undecided
@@ -559,20 +521,19 @@ class _Sweeper:
         nothing, at most once per shrink of the undecided set.  The bitmap
         of undecided assignments is tested for emptiness right after a
         condition forced something, so no condition past the last useful
-        one is fetched.  The forced bitmaps are decoded into rule_of/ev_of
-        once, at the end.
+        one is fetched.
         """
         ctx = self.ctx
         full = self.full
         undec = full
-        forced = _Forced()
         if "A" in self.rules:
             sigs = ctx.cycle_sigs
             bitmaps: list[int | None] = [None] * len(sigs)
-            # live[j] == len(forced.codes): cycle j was found odd on an
-            # undecided assignment after undec last shrank, so a pair that
-            # forces nothing tests the second cycle once per shrink
-            live = [0] * len(sigs)
+            # live[j] == shrinks: cycle j was found odd on an undecided
+            # assignment after undec last shrank, so a pair that forces
+            # nothing tests the second cycle once per shrink
+            live = [-1] * len(sigs)
+            shrinks = 0
             for pid, (i, j) in enumerate(ctx.pairs):
                 hi = bitmaps[i]
                 if hi is None:
@@ -591,20 +552,21 @@ class _Sweeper:
                 h &= hj
                 if h:
                     undec ^= h
-                    forced.add(h, 1, pid)
+                    shrinks += 1
+                    self.counts[1] += h.bit_count()
+                    self.used.add((1, pid))
                     if not undec:
                         break
-                elif live[j] != len(forced.codes):
+                elif live[j] != shrinks:
                     if undec & hj:
-                        live[j] = len(forced.codes)
+                        live[j] = shrinks
                     else:
                         bitmaps[j] = 0
-        examined = [0, 0]
         for k, (rule, code) in enumerate((("C", 2), ("B", 3))):
             if rule not in self.rules or not undec:
                 continue
             for cid, cond in enumerate(ctx.conditions(code)):
-                examined[k] = cid + 1
+                self.examined[k] = max(self.examined[k], cid + 1)
                 h = undec
                 for r in cond[0]:
                     h &= self.ones(r, win) ^ full
@@ -612,11 +574,12 @@ class _Sweeper:
                         break
                 if h:
                     undec ^= h
-                    forced.add(h, code, cid)
+                    self.counts[code] += h.bit_count()
+                    self.used.add((code, cid))
                     if not undec:
                         break
-        forced.write(win << self.w, self.width, rule_of, ev_of)
-        return examined
+        if undec:
+            self.unforced += _bits(undec, win << self.w)
 
 
 @dataclass
@@ -628,8 +591,9 @@ class Certificate:
     rules: str
     dim: int
     verdict: str
-    rule_of: bytearray        # per assignment: 0 unforced, 1 A, 2 C, 3 B
-    ev_of: array              # per assignment (typecode I): index into the rule's table
+    # the used evidence keys, increasing in (code, index): A, C, B order
+    rule_of: bytearray        # per key, its rule code: 1 A, 2 C, 3 B
+    ev_of: array              # per key (typecode I): index into the rule's table
     counts: dict[str, int]
     unforced: list[int]
     stats: dict[str, int]
@@ -637,13 +601,16 @@ class Certificate:
     ctx: RuleContext
 
     def evidence(self, assignment: int):
-        """The evidence that forced an assignment, None if none did.
-        Raises ValueError for an assignment outside [0, 2^dim), and for a
-        rule code other than 0-3 or an index outside its rule's table."""
+        """The evidence of the first used key that forces an assignment,
+        None if none does.  Raises ValueError for an assignment outside
+        [0, 2^dim), and for a key met on the way whose rule code is not
+        1-3 or whose index is outside its rule's table."""
         if not 0 <= assignment < 1 << self.dim:
             raise ValueError(f"assignment {assignment} is outside [0, 2^{self.dim})")
-        rule = self.rule_of[assignment]
-        return self.ctx.evidence(rule, self.ev_of[assignment]) if rule else None
+        for key in zip(self.rule_of, self.ev_of):
+            if self.ctx.forces(*key, assignment):
+                return self.ctx.evidence(*key)
+        return None
 
     def unforced_serials(self) -> list[str]:
         return [
@@ -681,36 +648,25 @@ def certify(
     t0 = time.perf_counter()
     ctx = rule_context(g, limits)
     sweeper = _Sweeper(ctx, rules)
-    total = 1 << ctx.dim
-    rule_of = bytearray(total)
-    ev_of = array("I", [0]) * total
-    examined = [0, 0]
     for win in range(1 << (ctx.dim - sweeper.w)):
-        x = sweeper.sweep(win, rule_of, ev_of)
-        examined = [max(pair) for pair in zip(examined, x)]
-
-    unforced = []
-    v = rule_of.find(0)
-    while v >= 0:
-        unforced.append(v)
-        v = rule_of.find(0, v + 1)
-    counts = {"A": rule_of.count(1), "C": rule_of.count(2), "B": rule_of.count(3)}
+        sweeper.sweep(win)
+    keys = sorted(sweeper.used)
     stats = {
         "cycles": len(ctx.cycles),
         "disjoint_pairs": len(ctx.pairs) if "A" in rules else 0,
-        "c_conditions": examined[0],
-        "b_conditions": examined[1],
+        "c_conditions": sweeper.examined[0],
+        "b_conditions": sweeper.examined[1],
     }
-    verdict = "CERTIFIED" if not unforced else "UNDECIDED"
+    unforced = sweeper.unforced
     return Certificate(
         graph=g,
         canon_g6=graph_to_g6(canonical_graph(g, limits)),
         rules=rules,
         dim=ctx.dim,
-        verdict=verdict,
-        rule_of=rule_of,
-        ev_of=ev_of,
-        counts=counts,
+        verdict="UNDECIDED" if unforced else "CERTIFIED",
+        rule_of=bytearray(code for code, _ in keys),
+        ev_of=array("I", [idx for _, idx in keys]),
+        counts=dict(zip("ACB", sweeper.counts[1:])),
         unforced=unforced,
         stats=stats,
         wall_time=time.perf_counter() - t0,
@@ -723,34 +679,6 @@ def certify(
 # the verifier checks windows of 2^_VERIFY_BITS assignments; the sweep's
 # _WINDOW_BITS is not shared
 _VERIFY_BITS = 16
-# _DIGIT[k] maps a byte to the digit 1 when its bit k is set, else to 0:
-# runs of 2^k zeros and 2^k ones
-_DIGIT = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
-# the two bits of a rule code, and the bytes above 3, which are no rule code
-_CODE_DIGITS = (_DIGIT[0], _DIGIT[1], b"0" * 4 + b"1" * 252)
-
-
-def _planes(data: bytes, tables: Iterable[bytes]) -> list[int]:
-    """One bitmap per table: bit u is the digit the table maps data[u] to."""
-    planes = []
-    for table in tables:
-        digits = data.translate(table)
-        planes.append(int(digits[::-1], 2) if b"1" in digits else 0)
-    return planes
-
-
-def _index_planes(idxs: array) -> list[int]:
-    """The bit planes of idxs: bit u of plane j is bit j of idxs[u], up to
-    the highest plane that is not 0.  Each byte lane of the array gives
-    eight planes, a lane of zeros eight zeros."""
-    raw, size = idxs.tobytes(), idxs.itemsize
-    planes: list[int] = []
-    for k in range(size):
-        lane = raw[k if sys.byteorder == "little" else size - 1 - k::size]
-        planes += _planes(lane, _DIGIT) if lane.strip(b"\0") else [0] * 8
-    while planes and not planes[-1]:
-        planes.pop()
-    return planes
 
 
 def _parity_bitmap(c: int, w: int) -> int:
@@ -864,9 +792,9 @@ _pattern_code = lru_cache(maxsize=16)(canonical_form)
 
 
 def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
-                    evidence) -> tuple[tuple[int, ...], int, str]:
+                    evidence) -> tuple[tuple[int, ...], int]:
     """Check one piece of evidence and return what it claims of every
-    assignment that cites it: (coefficient vectors, wanted parity, message).
+    assignment it forces: (coefficient vectors, wanted parity).
 
     Rule A: two simple vertex-disjoint cycles, both 1-homologous.  Rules C
     and B: a valid model of K6 (C) or of the named Petersen-family member
@@ -880,7 +808,7 @@ def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
         if cycle_vertices(g, c1) & cycle_vertices(g, c2):
             raise ModelInvalid("rule A cycles share a vertex")
         vectors = (ev.decompose(c1), ev.decompose(c2))
-        return vectors, 1, "rule A cycles not both 1-homologous"
+        return vectors, 1
     model = evidence.model
     validate_model(model)
     if model.host != g:
@@ -896,7 +824,7 @@ def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
             member.edge_mask([(a, b), (a, c), (b, c)])
             for a, b, c in itertools.combinations(quad, 3)
         ]
-        return _lifted_vectors(ev, model, pmasks), 0, "rule C triangle not 0-homologous"
+        return _lifted_vectors(ev, model, pmasks), 0
     from .families import petersen_family
 
     name, apex = evidence.member, evidence.apex
@@ -912,73 +840,81 @@ def _evidence_claim(g: Graph, ev: _IndependentEvaluator,
         )
         for bmask in cycle_space(sub).basis
     ]
-    return _lifted_vectors(ev, model, pmasks), 0, "rule B basis cycle not 0-homologous"
+    return _lifted_vectors(ev, model, pmasks), 0
 
 
 def verify_certificate(cert: Certificate) -> int:
-    """Re-check every forced assignment against its evidence; return the
-    number checked.
+    """Re-derive a certificate from its used keys; return the number of
+    forced assignments.  Raises ModelInvalid on any failure.
 
-    Each distinct piece of evidence, as `Certificate.evidence` gives it, is
-    checked once by `_evidence_claim`: its structure (simple disjoint
-    cycles; a valid model of the right pattern, whose lifted cycles
-    contract onto their pattern cycles) and the coefficient vectors of its
-    cycles, found by fresh elimination over the fundamental basis (no
-    signature shortcut).  Every assignment citing it must then give each
-    vector the wanted parity.
-
-    Assignments are checked one window of 2^`_VERIFY_BITS` at a time.  The
-    window's rule codes and evidence indices become bit planes (bit u of a
-    plane is one bit of the key of assignment u), and the assignments
-    citing the key of the lowest one left are the AND of its planes and
-    complements; they are peeled off together and checked against the
-    key's claim by parity bitmaps from `_parity_bitmap`.
-
-    Raises ModelInvalid on a failure, and for a rule code other than 0-3
-    or an index outside its rule's table.
+    The keys must be strictly increasing in (rule code, index), the sweep's
+    order, and name entries of their tables.  Each is checked once by
+    `_evidence_claim`: its structure (simple disjoint cycles; a valid model
+    of the right pattern, whose lifted cycles contract onto their pattern
+    cycles) and its cycles' coefficient vectors, found by fresh elimination
+    over the fundamental basis (no signature shortcut).  It forces the
+    assignments at which each vector has the wanted parity.  One window of
+    2^`_VERIFY_BITS` assignments at a time, the keys peel these off in
+    order (by `_parity_bitmap`), and the rules are recounted by first
+    match.  What is left must be the window's unforced assignments, the
+    recount the certificate's counts, and the verdict CERTIFIED exactly
+    when nothing is unforced.
     """
     dim = cert.dim
     w = min(dim, _VERIFY_BITS)
     width = 1 << w
     full = (1 << width) - 1
-    g, ctx, rule_of, ev_of = cert.graph, cert.ctx, cert.rule_of, cert.ev_of
+    g, ctx, unforced = cert.graph, cert.ctx, cert.unforced
+    if len(cert.rule_of) != len(cert.ev_of):
+        raise ModelInvalid(f"{len(cert.rule_of)} rule codes but {len(cert.ev_of)} indices")
+    keys = list(zip(cert.rule_of, cert.ev_of))
+    for prev, key in zip(keys, keys[1:]):
+        if key <= prev:
+            raise ModelInvalid(f"evidence key {key} after {prev}: not strictly increasing")
+    if unforced != sorted(set(unforced)) or unforced and not (
+            0 <= unforced[0] and unforced[-1] < 1 << dim):
+        raise ModelInvalid(f"unforced assignments not strictly increasing in [0, 2^{dim})")
+    if cert.verdict != ("UNDECIDED" if unforced else "CERTIFIED"):
+        raise ModelInvalid(f"verdict {cert.verdict} with {len(unforced)} unforced assignments")
     ev = _IndependentEvaluator(g)
-    claims: dict[tuple[int, int], tuple[tuple[int, ...], int, str]] = {}
-    checked = 0
+    claims = []
+    for code, idx in keys:
+        if not ctx.has_entry(code, idx):
+            raise ModelInvalid(f"rule code {code} has no evidence {idx}")
+        vectors, want = _evidence_claim(g, ev, ctx.evidence(code, idx))
+        # each vector as its parity bitmap on the window offsets, the part
+        # above the window and the wanted parity
+        claims.append((code, [(_parity_bitmap(c, w), c >> w, want) for c in vectors]))
+    counts = [0, 0, 0, 0]
+    pos = 0
     for win in range(1 << (dim - w)):
         start = win << w
-        *code_planes, bad = _planes(rule_of[start:start + width], _CODE_DIGITS)
-        if bad:
-            v = start + (bad & -bad).bit_length() - 1
-            raise ModelInvalid(f"rule code {rule_of[v]} is not 1, 2 or 3 at {v}")
-        planes = code_planes + _index_planes(ev_of[start:start + width])
-        complements = [p ^ full for p in planes]
-        left = code_planes[0] | code_planes[1]
-        while left:
-            v = start + (left & -left).bit_length() - 1
-            key = (rule_of[v], ev_of[v])
-            # bit b of the key selects plane b where set, its complement where not
-            group, bits = left, key[0] | key[1] << 2
-            for plane, complement in zip(planes, complements):
-                group &= plane if bits & 1 else complement
-                bits >>= 1
-            left ^= group
-            claim = claims.get(key)
-            if claim is None:
-                if not ctx.has_entry(*key):
-                    raise ModelInvalid(f"rule code {key[0]} has no evidence {key[1]} at {v}")
-                claim = claims[key] = _evidence_claim(g, ev, cert.evidence(v))
-            vectors, want, message = claim
-            for c in vectors:
-                # the assignments of the group at which c has the wrong parity
-                wrong = _parity_bitmap(c, w)
-                if ((c >> w & win).bit_count() ^ want) & 1:
-                    wrong ^= full
-                wrong &= group
-                if wrong:
-                    raise ModelInvalid(f"{message} at {start + (wrong & -wrong).bit_length() - 1}")
-            checked += group.bit_count()
-    return checked
+        left = full
+        for code, vecs in claims:
+            forced = left
+            for odd, high, want in vecs:
+                # wanted: offsets whose own parity is want ^ parity(high & win)
+                forced &= odd if ((high & win).bit_count() ^ want) & 1 else ~odd
+                if not forced:
+                    break
+            if forced:
+                left ^= forced
+                counts[code] += forced.bit_count()
+                if not left:
+                    break
+        end = bisect_left(unforced, start + width, pos)
+        listed = unforced[pos:end]
+        got = _bits(left, start)
+        if got != listed:
+            v = min(set(got).symmetric_difference(listed))
+            if v in listed:
+                raise ModelInvalid(f"assignment {v} is listed unforced, but evidence forces it")
+            raise ModelInvalid(f"no evidence forces assignment {v}")
+        pos = end
+    recount = dict(zip("ACB", counts[1:]))
+    if recount != cert.counts:
+        raise ModelInvalid(f"counts {cert.counts} differ from the recount {recount}")
+    return sum(counts)
 
 
 # -- minimality scans -----------------------------------------------------------

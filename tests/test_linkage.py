@@ -290,57 +290,52 @@ def test_minimality_k6_monotone(k6):
     assert report.engine_minimal  # K6 itself is UNDECIDED, so are its minors
 
 
-def test_certificate_verification_catches_tampering(k44e):
-    from rp3link.errors import ModelInvalid
+def _key_of(cert, v):
+    """The first used key of cert that forces assignment v, None if none does."""
+    return next((key for key in zip(cert.rule_of, cert.ev_of) if cert.ctx.forces(*key, v)), None)
 
-    cert = certify(k44e, rules="AB")
+
+def _with_keys(cert, keys):
+    return dataclasses.replace(
+        cert, rule_of=bytearray(code for code, _ in keys), ev_of=array("I", [i for _, i in keys]))
+
+
+def _repointed(cert, code):
+    """cert with one used key of rule code pointed at another entry of its
+    table (a used one merges with it) that does not force an assignment
+    only that key forced, and the first assignment left uncovered."""
     ctx = cert.ctx
-    # point some assignment's evidence at a pair that is not both-1 for it
-    target = bad = None
-    for v in range(256):
-        if cert.rule_of[v] != 1:
-            continue
-        phi = HomologyAssignment(k44e, v)
-        for pid, (i, j) in enumerate(ctx.pairs):
-            if pid == cert.ev_of[v]:
-                continue
-            if not (
-                evaluate(phi, ctx.cycles[i]) and evaluate(phi, ctx.cycles[j])
-            ):
-                target, bad = v, pid
-                break
-        if target is not None:
+    keys = list(zip(cert.rule_of, cert.ev_of))
+    for v in range(1 << cert.dim):
+        forcing = [key for key in keys if ctx.forces(*key, v)]
+        if len(forcing) == 1 and forcing[0][0] == code:
             break
-    assert target is not None
-    original = cert.ev_of[target]
-    cert.ev_of[target] = bad
-    try:
-        with pytest.raises(ModelInvalid):
-            verify_certificate(cert)
-    finally:
-        cert.ev_of[target] = original
+    else:
+        raise AssertionError(f"no assignment forced by one key of rule {code} alone")
+    size = len(ctx.pairs) if code == 1 else len(ctx.conditions(code))
+    bad = next(i for i in range(size) if (code, i) != forcing[0] and not ctx.forces(code, i, v))
+    tampered = _with_keys(cert, sorted(set(keys) - set(forcing) | {(code, bad)}))
+    return tampered, next(u for u in range(v + 1) if _key_of(tampered, u) is None)
+
+
+def test_certificate_verification_catches_tampering(k44e):
+    cert = certify(k44e, rules="AB")
+    # point a rule-A key at a pair that is not both-1 at an assignment only
+    # that key forced
+    tampered, uncovered = _repointed(cert, 1)
+    with pytest.raises(ModelInvalid, match=f"no evidence forces assignment {uncovered}$"):
+        verify_certificate(tampered)
+    assert verify_certificate(cert) == 256
 
 
 @pytest.mark.parametrize("graph, rules, code", [("k7_2adj", "ABC", 2), ("k44e", "AB", 3)])
 def test_certificate_verification_catches_tampered_model_evidence(graph, rules, code, request):
-    from rp3link.errors import ModelInvalid
-
     cert = certify(request.getfixturevalue(graph), rules=rules)
-    table = cert.ctx.c_conditions if code == 2 else cert.ctx.b_conditions
-    # point a C- (B-) forced assignment at a condition that does not vanish
-    # there (every condition vanishes at assignment 0)
-    v = cert.rule_of.index(code, 1)
-    bad = next(
-        cid for cid in range(len(table))
-        if any((r & v).bit_count() & 1 for r in table[cid][0])
-    )
-    original = cert.ev_of[v]
-    cert.ev_of[v] = bad
-    try:
-        with pytest.raises(ModelInvalid, match="not 0-homologous"):
-            verify_certificate(cert)
-    finally:
-        cert.ev_of[v] = original
+    # point a C (B) key at a condition that does not vanish at an assignment
+    # only that key forced: its assignments are no longer all covered
+    tampered, uncovered = _repointed(cert, code)
+    with pytest.raises(ModelInvalid, match=f"no evidence forces assignment {uncovered}$"):
+        verify_certificate(tampered)
     assert verify_certificate(cert) == sum(cert.counts.values())
 
 
@@ -353,28 +348,45 @@ def test_certificate_verification_catches_tampered_model_evidence(graph, rules, 
         (2, 0, "no evidence 0"),
         (3, "end", "no evidence"),
         (1, "end", "no evidence"),
+        # the last B key listed twice, or put before the key it follows
+        (3, "twice", "not strictly increasing"),
+        (3, "early", "not strictly increasing"),
+        (3, "no index", "14 rule codes but 13 indices"),
     ],
 )
 def test_forged_rule_codes_and_indices_are_rejected(k44e, code, idx, message):
     cert = certify(k44e, rules="AB")
-    v = cert.rule_of.index(3, 1)
     assert verify_certificate(cert) == sum(cert.counts.values())
-    table = cert.ctx.pairs if code == 1 else cert.ctx.conditions(code)
-    cert.rule_of[v] = code
-    if idx is not None:
-        cert.ev_of[v] = len(table) if idx == "end" else idx
-    with pytest.raises(ValueError, match="rule code"):
-        cert.evidence(v)
+    rule_of, ev_of = cert.rule_of, cert.ev_of
+    assert rule_of[-1] == 3
+    if idx == "twice":
+        rule_of.append(3)
+        ev_of.append(ev_of[-1])
+    elif idx == "early":
+        rule_of[-2:], ev_of[-2:] = rule_of[:-3:-1], ev_of[:-3:-1]
+    elif idx == "no index":
+        ev_of.pop()
+    else:
+        # forge the first B key, and drop the keys after it so that the
+        # list stays increasing; v is an assignment it is the evidence of
+        k = rule_of.index(3)
+        v = next(u for u in range(256) if _key_of(cert, u) == (3, ev_of[k]))
+        del rule_of[k + 1:], ev_of[k + 1:]
+        table = cert.ctx.pairs if code == 1 else cert.ctx.conditions(code)
+        rule_of[k] = code
+        if idx is not None:
+            ev_of[k] = len(table) if idx == "end" else idx
+        with pytest.raises(ValueError, match="rule code"):
+            cert.evidence(v)
     with pytest.raises(ModelInvalid, match=message):
         verify_certificate(cert)
 
 
 def test_negative_evidence_indices_are_rejected(k44e):
     cert = certify(k44e, rules="AB")
-    v = cert.rule_of.index(3, 1)
     # ev_of holds unsigned ints: -1 does not wrap to the last condition
     with pytest.raises(OverflowError):
-        cert.ev_of[v] = -1
+        cert.ev_of[-1] = -1
     for code in (1, 2, 3):
         with pytest.raises(ValueError, match=f"rule code {code} has no evidence -1"):
             cert.ctx.evidence(code, -1)
@@ -387,16 +399,37 @@ def test_assignments_outside_the_sweep_are_rejected(k6):
             cert.evidence(v)
 
 
-def test_verifier_checks_that_lifts_contract_onto_their_pattern_cycles(k7_2adj, monkeypatch):
-    from rp3link.errors import ModelInvalid
-
+def test_verifier_checks_unforced_verdict_and_counts(k6, k7_2adj):
+    undecided = certify(k6)
+    assert undecided.verdict == "UNDECIDED"
+    assert verify_certificate(undecided) == (1 << undecided.dim) - len(undecided.unforced)
+    first = undecided.unforced[0]
+    with pytest.raises(ModelInvalid, match=f"no evidence forces assignment {first}$"):
+        verify_certificate(dataclasses.replace(undecided, unforced=undecided.unforced[1:]))
     cert = certify(k7_2adj)
-    v = cert.rule_of.index(2)
-    quad = cert.evidence(v).quad
+    assert cert.verdict == "CERTIFIED"
+    for changes, message in [
+        ({"unforced": [5], "verdict": "UNDECIDED"}, "assignment 5 is listed unforced"),
+        ({"unforced": [5]}, "verdict CERTIFIED with 1 unforced"),
+        ({"verdict": "UNDECIDED"}, "verdict UNDECIDED with 0 unforced"),
+        ({"unforced": [5, 5], "verdict": "UNDECIDED"}, "not strictly increasing"),
+        ({"unforced": [1 << cert.dim], "verdict": "UNDECIDED"}, "not strictly increasing"),
+        # one assignment counted to C instead of A
+        ({"counts": {**cert.counts, "A": cert.counts["A"] - 1, "C": cert.counts["C"] + 1}},
+         "differ from the recount"),
+    ]:
+        with pytest.raises(ModelInvalid, match=message):
+            verify_certificate(dataclasses.replace(cert, **changes))
+    assert verify_certificate(cert) == 1 << cert.dim
+
+
+def test_verifier_checks_that_lifts_contract_onto_their_pattern_cycles(k7_2adj, monkeypatch):
+    cert = certify(k7_2adj)
+    quad = cert.ctx.evidence(2, cert.ev_of[cert.rule_of.index(2)]).quad
     k6 = Graph.complete(6)
-    # another triangle of the same quad: it is 0-homologous at every
-    # assignment citing this evidence, so only the contraction check can
-    # tell the altered lifts from the true ones
+    # another triangle of the same quad: the altered lifts are 0-homologous
+    # wherever the true ones are, so the key still covers what it forced,
+    # and only the contraction check can tell them from the true ones
     other = k6.edge_mask(itertools.combinations(quad[:3], 2))
     real_lift = linkage.lift
     monkeypatch.setattr(
@@ -430,8 +463,6 @@ def _blown_up_k6_model() -> MinorModel:
     ],
 )
 def test_verifier_checks_that_lifts_stay_on_the_model(extra, message, monkeypatch):
-    from rp3link.errors import ModelInvalid
-
     model = _blown_up_k6_model()
     g = model.host
     evidence = RuleCEvidence(model, (0, 1, 2, 3))
@@ -439,7 +470,7 @@ def test_verifier_checks_that_lifts_stay_on_the_model(extra, message, monkeypatc
     def claim():
         return linkage._evidence_claim(g, linkage._IndependentEvaluator(g), evidence)
 
-    vectors, want, _ = claim()
+    vectors, want = claim()
     assert (len(vectors), want) == (4, 0)
     mask = g.edge_mask(extra)
     real_lift = linkage.lift
@@ -585,9 +616,44 @@ def test_shared_signatures_match_edge_lifts():
     assert models > 8000
 
 
+def _per_assignment_arrays(cert, w: int = 16) -> tuple[bytearray, array]:
+    """The rule code and table index of the evidence of every assignment
+    (0 and 0 where none), as certificates once stored them: rebuilt from
+    the used keys a window of 2^w assignments at a time, each assignment
+    taking the first key that forces it."""
+    ctx = cert.ctx
+    w = min(cert.dim, w)
+    full = (1 << (1 << w)) - 1
+    keys = []
+    for code, idx in zip(cert.rule_of, cert.ev_of):
+        if code == 1:
+            sigs, want = [ctx.cycle_sigs[i] for i in ctx.pairs[idx]], 1
+        else:
+            sigs, want = ctx.conditions(code)[idx][0], 0
+        # each signature as its parity bitmap on the window offsets, the
+        # part above the window and the wanted parity
+        keys.append((code, idx, [(linkage._parity_bitmap(r, w), r >> w, want) for r in sigs]))
+    rule_of, ev_of = bytearray(), array("I")
+    for win in range(1 << (cert.dim - w)):
+        codes, idxs = bytearray(1 << w), array("I", [0]) * (1 << w)
+        left = full
+        for code, idx, vecs in keys:
+            h = left
+            for odd, high, want in vecs:
+                h &= odd if ((high & win).bit_count() ^ want) & 1 else ~odd
+            left ^= h
+            for u in linkage._bits(h, 0):
+                codes[u], idxs[u] = code, idx
+        rule_of += codes
+        ev_of += idxs
+    return rule_of, ev_of
+
+
 def _evidence_sha(cert) -> str:
-    # ev_of is an array('I'); the pins hash the repr of its list of ints
-    return hashlib.sha256(bytes(cert.rule_of) + repr(list(cert.ev_of)).encode()).hexdigest()
+    # the pins hash the per-assignment codes, and the repr of the list of
+    # per-assignment indices
+    rule_of, ev_of = _per_assignment_arrays(cert)
+    return hashlib.sha256(bytes(rule_of) + repr(list(ev_of)).encode()).hexdigest()
 
 
 def _json_sha_without_stats(cert) -> str:
@@ -597,8 +663,9 @@ def _json_sha_without_stats(cert) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of bytes(rule_of) + repr(list(ev_of)), and of the certificate JSON minus
-# stats; pinned before models and conditions were generated on demand
+# sha256 of the per-assignment rule codes + repr(list of indices), and of the
+# certificate JSON minus stats; pinned before models and conditions were
+# generated on demand, when certificates stored the per-assignment arrays
 _EVIDENCE = {
     "K6(01)+K331(02)": (
         "436c1885a715c8579725b888cabf294b036e2501f0ed51899c85b83ec069bee8",
@@ -638,6 +705,7 @@ def test_certificate_independent_of_cache_state(name, cold_contexts):
     warm = certify(g)
     assert warm.ctx is ctx
     assert warm.to_json(include_timing=False) == cold.to_json(include_timing=False)
+    # the used keys
     assert (bytes(warm.rule_of), warm.ev_of) == (bytes(cold.rule_of), cold.ev_of)
 
 
@@ -664,6 +732,7 @@ def test_window_split_matches_default_window(fixture, rules, monkeypatch):
     for bits in (4, 8):
         monkeypatch.setattr(linkage, "_WINDOW_BITS", bits)
         cert = certify(g, rules=rules)
+        # the used keys do not depend on the window: first match is per assignment
         assert bytes(cert.rule_of) == bytes(ref.rule_of), bits
         assert cert.ev_of == ref.ev_of, bits
         assert cert.stats == ref.stats, bits
@@ -768,10 +837,12 @@ def test_multi_window_certificate_pinned():
     # K6+K331 has dim 19: eight windows of 2^16 at the default window size,
     # so the high-bit flip and the merge of windows run unshrunk.  Pinned
     # before cycle bitmaps were cached per window and forced bitmaps
-    # decoded bytewise
+    # decoded bytewise, and before certificates kept only the used keys
     fam = petersen_family().members
     cert = certify(fam["K6"].disjoint_union(fam["K331"]))
     assert cert.dim == 19
+    assert len(cert.rule_of) == 118
+    assert tuple(cert.rule_of.count(code) for code in (1, 2, 3)) == (107, 10, 1)
     assert _evidence_sha(cert) == (
         "29eaf2e9f0411e611121b8aa1359abef17a8c2763de6f2a676f5d19a39625ef5"
     )
@@ -781,62 +852,6 @@ def test_multi_window_certificate_pinned():
     assert cert.stats == {
         "cycles": 347, "disjoint_pairs": 29569, "c_conditions": 15, "b_conditions": 7,
     }
-
-
-def _decode_forced(entries, width):
-    """Decode (bitmap, code, idx) entries as the second of two windows, over
-    arrays whose first window already holds a rule; also return what a
-    per-bit write of the same entries gives."""
-    forced = linkage._Forced()
-    for h, code, idx in entries:
-        forced.add(h, code, idx)
-    rule_of = bytearray([1]) * width + bytearray(width)
-    ev_of = array("I", [5]) * width + array("I", [0]) * width
-    forced.write(width, width, rule_of, ev_of)
-    want_rule, want_ev = rule_of[:width] + bytearray(width), ev_of[:width] + array("I", [0]) * width
-    for h, code, idx in entries:
-        while h:
-            u = (h & -h).bit_length() - 1
-            h &= h - 1
-            want_rule[width + u] = code
-            want_ev[width + u] = idx
-    return (rule_of, ev_of), (want_rule, want_ev)
-
-
-@pytest.mark.parametrize("width", [64, 1 << 16])
-def test_write_forced_decodes_every_bit(width):
-    k = width // 16
-    cases = [
-        [0],
-        [7, 8],
-        [8 * k - 1, 8 * k],
-        [width - 1],
-        [0, 7, 8, 8 * k - 1, 8 * k, width - 1],
-        list(range(width)),
-    ]
-    for bits in cases:
-        got, want = _decode_forced([(sum(1 << u for u in bits), 3, 9)], width)
-        assert got == want, bits[:8]
-
-
-@pytest.mark.parametrize("entries", [255, 256, 1 << 16])
-def test_write_forced_decodes_every_lane_width(entries):
-    # entry numbers of 8, 9 and 17 bits: lanes of 1, 2 and 4 bytes.  Entry
-    # e forces one assignment, scattered over the window, with an index
-    # above a byte
-    width = 1 << 16
-    forced = [(1 << (e * 40503) % width, e % 3 + 1, 300 * e) for e in range(entries)]
-    got, want = _decode_forced(forced, width)
-    assert got == want
-
-
-def test_write_forced_rejects_an_index_wider_than_ev_of():
-    forced = linkage._Forced()
-    forced.add(0b110, 1, 1 << 32)
-    ev_of = array("I", [0]) * 64
-    with pytest.raises(OverflowError):
-        forced.write(0, 64, bytearray(64), ev_of)
-    assert not any(ev_of)
 
 
 @st.composite
@@ -890,29 +905,32 @@ def test_sweep_matches_single_shot_rules(g):
 
 
 def _per_assignment_verify(cert) -> int:
-    """The per-assignment loop that the windowed verifier replaced, kept as
-    its reference: each key's claim is found once, then every assignment's
-    parities are checked one at a time."""
-    g = cert.graph
+    """Reference for verify_certificate, one assignment at a time: each
+    key's claim is found once, each assignment is counted to the rule of
+    the first key whose claim holds at it, and the assignments that no
+    claim holds at must be the unforced ones."""
+    g, ctx = cert.graph, cert.ctx
+    keys = list(zip(cert.rule_of, cert.ev_of))
+    if len(cert.rule_of) != len(cert.ev_of) or keys != sorted(set(keys)):
+        raise ModelInvalid("the keys are not strictly increasing")
     ev = linkage._IndependentEvaluator(g)
-    claims = {}
-    checked = 0
+    claims = []
+    for key in keys:
+        if not ctx.has_entry(*key):
+            raise ModelInvalid(f"no evidence {key}")
+        claims.append((key[0], linkage._evidence_claim(g, ev, ctx.evidence(*key))))
+    counts, uncovered = {"A": 0, "C": 0, "B": 0}, []
     for v in range(1 << cert.dim):
-        rule = cert.rule_of[v]
-        if not rule:
-            continue
-        key = (rule, cert.ev_of[v])
-        claim = claims.get(key)
-        if claim is None:
-            if not cert.ctx.has_entry(*key):
-                raise ModelInvalid(f"no evidence {key} at {v}")
-            claim = claims[key] = linkage._evidence_claim(g, ev, cert.evidence(v))
-        vectors, want, message = claim
-        for c in vectors:
-            if (c & v).bit_count() & 1 != want:
-                raise ModelInvalid(f"{message} at {v}")
-        checked += 1
-    return checked
+        for code, (vectors, want) in claims:
+            if all((c & v).bit_count() & 1 == want for c in vectors):
+                counts[" ACB"[code]] += 1
+                break
+        else:
+            uncovered.append(v)
+    verdict = "UNDECIDED" if uncovered else "CERTIFIED"
+    if (uncovered, counts, verdict) != (cert.unforced, cert.counts, cert.verdict):
+        raise ModelInvalid("the keys do not reproduce the certificate")
+    return sum(counts.values())
 
 
 def _verdict(verify, cert):
@@ -937,20 +955,30 @@ def _verdict(verify, cert):
 @settings(max_examples=120, deadline=None)
 def test_windowed_verifier_matches_per_assignment_loop(g, data):
     cert = certify(g)
-    n = 1 << cert.dim
-    forced = [v for v in range(n) if cert.rule_of[v]]
-    assert verify_certificate(cert) == len(forced)
-    # tamper with the keys of a few forced assignments: another rule code
-    # (0 unforces) with the same index, or one bit of the index flipped
-    rule_of, ev_of = bytearray(cert.rule_of), array("I", cert.ev_of)
-    touched = data.draw(st.lists(st.sampled_from(forced), max_size=3)) if forced else []
-    top = max(ev_of).bit_length()
-    for v in touched:
-        if data.draw(st.booleans()):
-            rule_of[v] = data.draw(st.sampled_from([c for c in range(4) if c != rule_of[v]]))
+    assert verify_certificate(cert) == (1 << cert.dim) - len(cert.unforced)
+    # tamper with the key list: another rule code (0 is none) for a key,
+    # one bit of its index flipped, a key dropped or two keys swapped; and
+    # then, or not, sort the keys again
+    keys = list(zip(cert.rule_of, cert.ev_of))
+    top = max([idx for _, idx in keys], default=0).bit_length()
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not keys:
+            break
+        k = data.draw(st.integers(0, len(keys) - 1))
+        code, idx = keys[k]
+        move = data.draw(st.sampled_from(["code", "index", "drop", "swap"]))
+        if move == "code":
+            keys[k] = (data.draw(st.sampled_from([c for c in range(4) if c != code])), idx)
+        elif move == "index":
+            keys[k] = (code, idx ^ 1 << data.draw(st.integers(0, top)))
+        elif move == "drop":
+            del keys[k]
         else:
-            ev_of[v] ^= 1 << data.draw(st.integers(0, top))
-    tampered = dataclasses.replace(cert, rule_of=rule_of, ev_of=ev_of)
+            j = data.draw(st.integers(0, len(keys) - 1))
+            keys[k], keys[j] = keys[j], keys[k]
+    if data.draw(st.booleans()):
+        keys = sorted(set(keys))
+    tampered = _with_keys(cert, keys)
     with pytest.MonkeyPatch.context() as mp:
         # windows of 8 assignments: many windows, keys that span several
         mp.setattr(linkage, "_VERIFY_BITS", 3)
