@@ -5,16 +5,25 @@ A model witnesses pattern <= host through disjoint connected branch sets
 host edge per pattern edge joining the two corresponding sets.  Extra
 edges induced inside a branch set are treated as deleted.
 
-Absence is proved on smaller graphs when the host separates.  If S is a
-separator of G with |S| <= 3 and H is a minor of G whose connectivity
-exceeds |S|, then H is a minor of G[C + S] + K(S) for some component C of
-G - S, where K(S) adds every missing edge between vertices of S (see
-`_absent_by_separation`).  So a 3-connected pattern is sought on the pieces
-of the host's first separation of order <= 2 and a 4-connected one on those
-of order <= 3, where a 3-cut that splits off a single vertex is skipped:
-its pieces are K4 and the host's wye-delta, which is no minor of the host.
-A pattern found on some piece is enumerated on the whole host, so the
-models and their order do not depend on the shortcut.
+Absence is proved on smaller graphs when the host separates.  Let S be a
+separator of G with |S| <= 3, let K(S) add every missing edge between
+vertices of S, and let H be a 3-connected minor of G.  If |S| <= 2, then H
+is a minor of G[C + S] + K(S) for some component C of G - S.  If |S| = 3
+and H is also internally 4-connected (each 3-separation of H splits off a
+single vertex), the same holds once t new vertices, each adjacent to all of
+S, are added to the piece, where t is the largest number of degree-3
+vertices of H that share one neighbourhood: the branch sets that avoid S
+lie in one component, except those of at most t degree-3 vertices whose
+neighbours' sets meet S, and each of those moves onto a new vertex (the
+proof is in `_absent_by_separation`).  t is 0 for a 4-connected H such as
+K6 and K331, and 1 for P7, K44-e, P8, P9 and Petersen.  So a 3-connected
+pattern is sought on the pieces of the host's first separation of order
+<= 2, and an internally 4-connected one on those of order <= 3, with t new
+vertices on each 3-cut piece.  A 3-cut that splits off a single vertex is
+skipped: its pieces are K4 and the host's wye-delta, which is no minor of
+the host.  So is a cut with a piece as large as the host, so the recursion
+ends.  A pattern found on some piece is enumerated on the whole host, so
+the models and their order do not depend on the shortcut.
 
 The backtracking search looks ahead by edge count.  The pattern edges among
 the vertices not yet placed join disjoint branch sets inside the pool of
@@ -43,6 +52,7 @@ models and their order do not change.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -142,65 +152,111 @@ def _cuts(g: Graph, order: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
                 yield cut, comps
 
 
-def _separation_pieces(g: Graph, order: int) -> list[Graph] | None:
+def _separation_pieces(g: Graph, order: int, wyes: int) -> list[Graph] | None:
     """Pieces of the first separation of order <= `order` of g, or None.
 
     Cuts S are tried by size: the empty cut (the components of g), each cut
     vertex, each pair x < y, then each triple.  The pieces are G[C + S] plus
     every missing edge between vertices of S, one per component C of G - S;
-    for a 2-cut that is the virtual edge xy.  A 3-cut that leaves a single
+    for a 2-cut that is the virtual edge xy.  A 3-cut piece also gets `wyes`
+    new vertices, each adjacent to all of S.  A 3-cut that leaves a single
     vertex as a component is skipped: its pieces would be K4 and the
     wye-delta of g, which is no minor of g, hardly smaller, and often holds
-    the pattern.
+    the pattern.  So is a cut with a piece as large as g, so that the
+    recursion through `is_minor` ends.
     """
     for cut, comps in _cuts(g, order):
+        new = wyes if len(cut) == 3 else 0
         if len(cut) == 3 and any(comp & (comp - 1) == 0 for comp in comps):
+            continue
+        if max(comp.bit_count() for comp in comps) + len(cut) + new >= g.n:
             continue
         pieces = []
         for comp in comps:
             vs = [v for v in range(g.n) if (comp >> v) & 1 or v in cut]
-            piece = g.induced_subgraph(vs)
-            for x, y in itertools.combinations([vs.index(v) for v in cut], 2):
-                if not piece.has_edge(x, y):
-                    piece = piece.add_edge(x, y)
-            pieces.append(piece)
+            at = [vs.index(v) for v in cut]
+            edges = set(g.induced_subgraph(vs).edges)
+            edges.update(itertools.combinations(at, 2))
+            edges.update((x, len(vs) + i) for i in range(new) for x in at)
+            pieces.append(Graph(len(vs) + new, tuple(sorted(edges))))
         return pieces
     return None
 
 
 @lru_cache(maxsize=256)
-def _pattern_order(pattern: Graph) -> int | None:
-    """Order of the host separations whose pieces must hold pattern, if any:
-    3 for a 4-connected pattern (n >= 5, no separation of order <= 3), 2 for
-    a 3-connected one (n >= 4, none of order <= 2), else None."""
-    for order in (3, 2):
-        if pattern.n > order + 1 and next(_cuts(pattern, order), None) is None:
-            return order
-    return None
+def _pattern_order(pattern: Graph) -> tuple[int, int] | None:
+    """(order, wyes) of the host separations whose pieces must hold pattern,
+    or None: (2, 0) for a 3-connected pattern (n >= 4, no separation of
+    order <= 2), and (3, t) if it is also internally 4-connected, where t is
+    the largest number of its degree-3 vertices that share one
+    neighbourhood.  Internally 4-connected means that for each 3-cut X,
+    however the components of pattern - X are split into two nonempty
+    groups, one group is a single vertex: pattern - X is a single vertex and
+    one other component, or three single vertices."""
+    if pattern.n < 4:
+        return None
+    for cut, comps in _cuts(pattern, 3):
+        if len(cut) < 3:
+            return None
+        sizes = sorted(comp.bit_count() for comp in comps)
+        if sizes != [1, 1, 1] and (len(sizes) > 2 or sizes[0] > 1):
+            return 2, 0
+    shared = Counter(
+        pattern.adj[v] for v in range(pattern.n) if pattern.degree(v) == 3
+    )
+    return 3, max(shared.values(), default=0)
 
 
 def _absent_by_separation(host: Graph, pattern: Graph, limits: Limits) -> bool:
     """True when pattern is proved not to be a minor of host on smaller graphs.
 
-    Let S separate host, and let H be a minor of host with connectivity
-    above |S|.  Then H is a minor of G[C + S] + K(S) for some component C of
-    host - S, where K(S) adds every missing edge between vertices of S.
-    Branch sets that avoid S lie in components of host - S; were two
-    components to hold one each, the at most |S| branch sets meeting S would
-    separate H.  So one component C holds them all, and cut down to C + S
-    each branch set stays nonempty and connected and each pattern edge
-    survives: paths and edges through other components become edges of
-    K(S).  For |S| <= 2 these are the block and 2-sum facts (Diestel, Graph
-    Theory, ch. 12; Oxley, Matroid Theory, on 2-sums).  A 3-connected
-    pattern is therefore tested on the pieces of a separation of order
-    <= 2, and a 4-connected one (K6 and K331 in the Petersen family) on
-    those of order <= 3, skipping 3-cuts that split off a single vertex.
-    Pieces are tested through `is_minor`, so they are split again in turn.
+    Let S separate host, let H be a 3-connected minor of host, and let K(S)
+    add every missing edge between vertices of S.  At most |S| branch sets
+    meet S; each of the others is connected, so it lies in one component of
+    host - S.
+
+    (a) If those others all lie in one component C, then H is a minor of
+    G[C + S] + K(S).  Cut down to C + S, each branch set stays nonempty and
+    connected and each pattern edge survives: paths and edges through other
+    components run between vertices of S, which K(S) joins.  For |S| <= 2
+    these are the block and 2-sum facts (Diestel, Graph Theory, ch. 12;
+    Oxley, Matroid Theory, on 2-sums).
+
+    (b) Otherwise no pattern edge joins branch sets in different components,
+    so the sets meeting S separate H.  H is 3-connected, so |S| = 3, and
+    three sets meet S, one vertex of S each; let X be their three pattern
+    vertices.  Let H also be internally 4-connected (`_pattern_order`), and
+    group the other pattern vertices by the component that holds their
+    branch sets.  Each group is a union of components of H - X, so at most
+    one group has more than one vertex: were two to have more, splitting
+    one of them off from the rest would give a 3-separation of H that splits
+    off no single vertex.  Let C hold that group, or any group if none does.
+    Every other group is a single pattern vertex whose neighbours all lie in
+    X, and 3-connectivity gives it degree 3: these vertices share one
+    neighbourhood, so there are at most t of them, t being the largest
+    number of degree-3 vertices of H that share one.  Give each of them its
+    own new vertex adjacent to all of S, keep the sets in C, and cut the
+    three sets meeting S down to C + S.  Each of those stays connected,
+    since a path that leaves C + S returns to the set's one vertex of S, and
+    each pattern edge survives: an edge from a set in C ends in C + S, one
+    between two sets meeting S stays or is replaced by the edge of K(S)
+    between their vertices of S, and one of a moved vertex goes to a vertex
+    of S.  So H is a minor of G[C + S] + K(S) + t new vertices, each
+    adjacent to all of S.
+
+    A 4-connected H (n >= 5) has no 3-cut, so no degree-3 vertex and t = 0:
+    K6 and K331 in the Petersen family, K5 and K222.  t is 1 for P7, K44-e,
+    P8, P9 and Petersen, and 3 for K33.  So a 3-connected pattern is tested
+    on the pieces of a separation of order <= 2, and an internally
+    4-connected one on those of order <= 3, each 3-cut piece with t new
+    vertices.  Pieces are tested through `is_minor`, so they are split again
+    in turn; every piece is smaller than host (`_separation_pieces`), so
+    the recursion ends.
     """
-    order = _pattern_order(pattern)
-    if order is None:
+    kind = _pattern_order(pattern)
+    if kind is None:
         return False
-    pieces = _separation_pieces(host, order)
+    pieces = _separation_pieces(host, *kind)
     return pieces is not None and all(
         is_minor(pattern, piece, limits) is None for piece in pieces
     )
@@ -213,14 +269,14 @@ def enumerate_minor_models(
 ) -> Iterator[MinorModel]:
     """Every model of pattern inside host, in backtracking order.
 
-    A 3-connected pattern that is no minor of any piece of a separation of
-    order <= 2 of host, or a 4-connected one that is no minor of any piece of
-    a separation of order <= 3, yields nothing at once; otherwise the
-    backtracking search below runs on the whole host.
+    A pattern that `_absent_by_separation` proves absent on the pieces of a
+    separation of host yields nothing at once; otherwise the backtracking
+    search below runs on the whole host.  The empty pattern has one model,
+    with no branch sets.
     """
     if host.n > limits.max_vertices or pattern.n > limits.max_vertices:
         raise SizeExceeded("graph exceeds vertex bound")
-    if pattern.n > host.n or pattern.m > host.m or pattern.n == 0:
+    if pattern.n > host.n or pattern.m > host.m:
         return
     if _absent_by_separation(host, pattern, limits):
         return

@@ -234,6 +234,15 @@ def test_cli_minor(capsys):
     assert "minor: True" in out
 
 
+def test_cli_minor_of_the_empty_pattern(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    assert main(["minor", str(empty), str(fixture_path("k6"))]) == 0
+    assert "minor: True" in capsys.readouterr().out
+    assert main(["--format", "json", "minor", str(empty), str(fixture_path("k6"))]) == 0
+    assert json.loads(capsys.readouterr().out) == {"minor": True, "branch_sets": []}
+
+
 def test_cli_minimality(capsys):
     assert main(["--rules", "AB", "minimality", str(fixture_path("k44_minus_e"))]) == 0
     out = capsys.readouterr().out

@@ -21,10 +21,12 @@ from rp3link import (
     k6_therefore,
     load_fixture,
     petersen_family,
+    therefore_family,
     validate_model,
 )
 from rp3link import minors
 from rp3link.errors import ModelInvalid, SizeExceeded
+from rp3link.graphs import norm_edge
 from rp3link.minors import MinorModel, _backtrack_models, _pattern_group, _search_plan
 
 from conftest import brute_force_automorphisms, random_graph
@@ -193,6 +195,15 @@ def _three_sums(rng: random.Random, count: int):
         yield Graph.from_edges(a + b - 3, edges).relabel(perm)
 
 
+_WYE_MEMBERS = ("P7", "K44-e", "P8", "P9", "Petersen")
+
+
+def _relabelled(rng: random.Random, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
 def test_order_3_shortcut_matches_backtracking():
     fam = petersen_family().members
     four_connected = {
@@ -201,25 +212,70 @@ def test_order_3_shortcut_matches_backtracking():
         "K6": fam["K6"],
         "K331": fam["K331"],
     }
-    patterns = {
-        **four_connected,
-        "K33": Graph.complete_bipartite(3, 3),
-        "P7": fam["P7"],
-        "K44-e": fam["K44-e"],
+    # internally 4-connected with one wye vertex per 3-cut piece (t = 1)
+    wye = {name: fam[name] for name in _WYE_MEMBERS}
+    patterns = {**four_connected, **wye, "K33": Graph.complete_bipartite(3, 3)}
+    assert {name: minors._pattern_order(g)[1] for name, g in patterns.items()} == {
+        "K5": 0, "K222": 0, "K6": 0, "K331": 0,
+        "P7": 1, "K44-e": 1, "P8": 1, "P9": 1, "Petersen": 1, "K33": 3,
     }
-    outcomes = {name: set() for name in four_connected}
-    for host in _three_sums(random.Random(13), 40):
+    # the random 3-sums have at most 11 vertices, the gluings of K6t up to 12
+    rng = random.Random(13)
+    hosts = list(_three_sums(rng, 40))
+    hosts += [_relabelled(rng, g) for n1, _, _, g in therefore_family().gluings
+              if n1 == "K6t"]
+    outcomes = {name: set() for name in {**four_connected, **wye}}
+    for host in hosts:
+        # the recursion through is_minor ends: every piece is smaller
+        for wyes in (0, 1, 3):
+            pieces = minors._separation_pieces(host, 3, wyes) or []
+            assert all(piece.n < host.n for piece in pieces), (wyes, host)
         for name, pattern in patterns.items():
             raw = next(_backtrack_models(host, pattern), None)
             assert is_minor(pattern, host) == raw, (name, host)
-            if name in outcomes:
+            # an absence counts only where the pattern is not too large
+            if name in outcomes and pattern.n <= host.n and pattern.m <= host.m:
                 outcomes[name].add(raw is not None)
     assert all(seen == {False, True} for seen in outcomes.values()), outcomes
 
 
+@pytest.mark.parametrize("name", _WYE_MEMBERS)
+def test_wye_vertex_keeps_members_with_a_truncated_degree_3_vertex(name):
+    # Replace a degree-3 vertex v of the member by a triangle, one neighbour
+    # of v per corner.  The host stays 3-connected, and the neighbours of v,
+    # labelled 0, 1, 2, form its first 3-cut, which splits off the triangle.
+    # The member minus v, with a triangle on the cut, has too few vertices
+    # to hold the member, and the other piece is a prism: only the wye
+    # vertex added to each piece lets a piece hold it.
+    member = petersen_family().members[name]
+    rng = random.Random(7)
+    for v in range(member.n):
+        if member.degree(v) != 3:
+            continue
+        x, y, z = member.neighbors(v)
+        a, b = member.n, member.n + 1  # the corners at y and z; v is at x
+        edges = [e for e in member.edges if v not in e or x in e]
+        truncated = Graph.from_edges(member.n + 2, edges + [(v, a), (v, b), (a, b),
+                                                            (a, y), (b, z)])
+        rest = [u for u in range(truncated.n) if u not in (x, y, z)]
+        rng.shuffle(rest)
+        perm = [0] * truncated.n
+        for label, u in enumerate([x, y, z, *rest]):
+            perm[u] = label
+        host = truncated.relabel(perm)
+        # without wye vertices: a prism and the member's wye-delta at v
+        pieces = minors._separation_pieces(host, 3, 0)
+        assert sorted(piece.n for piece in pieces) == sorted((6, member.n - 1)), (name, v)
+        model = is_minor(member, host)
+        assert model is not None, (name, v)
+        validate_model(model)
+
+
 def test_order_3_shortcut_only_for_4_connected_patterns():
-    # the mark separation splits K6t~K6t into two K6, and neither holds P7,
-    # which is 3-connected but not 4-connected
+    # the mark separation splits K6t~K6t into two K6 with a triangle on the
+    # marks; P7 is a minor of neither, but P7 is K6 with a wye on one
+    # triangle, so each piece holds it once the wye vertex of the 3-cut is
+    # added
     assert is_minor(petersen_family().members["P7"], _stream_host("K6t~K6t")) is not None
 
 
@@ -246,6 +302,47 @@ def test_k331_absent_on_gluings_without_searching_the_whole_host(name, monkeypat
         searched.clear()
         assert is_minor(k331, host) is None
         assert host not in searched, perm
+
+
+def test_absent_members_of_the_therefore_gluings_need_no_search_of_the_host(monkeypatch):
+    # every delta-wye gluing of therefore_family() is 3-connected and splits
+    # at its marks; a member absent from it, K44-e included, is proved
+    # absent on the pieces of a 3-cut alone
+    searched = []
+
+    def counting(host, pattern):
+        searched.append(host)
+        return _backtrack_models(host, pattern)
+
+    gluings = therefore_family().gluings
+    monkeypatch.setattr(minors, "_backtrack_models", counting)
+    rng = random.Random(5)
+    absent = 0
+    for n1, n2, idx, g in gluings:
+        host = _relabelled(rng, g)
+        for member, pattern in petersen_family().members.items():
+            searched.clear()
+            if is_minor(pattern, host) is None:
+                absent += 1
+                assert host not in searched, (n1, n2, idx, member)
+    assert absent > len(gluings)
+
+
+def test_order_3_shortcut_needs_internal_4_connectivity():
+    # two K5 sharing a triangle: 3-connected, but the triangle splits off
+    # two vertices on each side, and neither K5 piece holds the whole graph
+    g = Graph.from_edges(7, {*itertools.combinations((0, 1, 2, 3, 4), 2),
+                             *itertools.combinations((0, 1, 2, 5, 6), 2)})
+    assert minors._pattern_order(g) == (2, 0)
+    host = _relabelled(random.Random(1), g)
+    assert is_minor(g, host) is not None
+
+
+def test_empty_pattern_has_the_empty_model(k6):
+    for host in (Graph(0, ()), Graph.complete(3), k6):
+        models = list(enumerate_minor_models(host, Graph(0, ())))
+        assert [m.branch_sets for m in models] == [()]
+        validate_model(models[0])
 
 
 def test_shortcut_skips_patterns_that_are_not_3_connected():
